@@ -81,11 +81,34 @@ def eval_log(pgf: Pgf, z: float) -> float:
     m = pgf.m
     if z > m:
         # The log-gamma difference is ~m*log(z) hiding under values of size
-        # z*log(z); past z = m the cancellation would eat it, so sum the
-        # factors in a form that never cancels.
-        tail = sum(math.log1p(j / z) for j in range(1, m))
-        return m * math.log(z) + tail - math.lgamma(m + 1)
+        # z*log(z); past z = m the cancellation would eat it, so evaluate
+        # P(z) = z**m / m! * prod_{j<m} (1 + j/z) in a form that never cancels.
+        return m * math.log(z) + _log1p_sum(m - 1, z) - math.lgamma(m + 1)
     return math.lgamma(m + z) - math.lgamma(z) - math.lgamma(m + 1)
+
+
+# Euler-Maclaurin corrections B_2k / (2k)! * (2k - 2)!, with the power
+# 2k - 1 of 1 / (z + x) they multiply.
+_EM_TERMS = ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5))
+
+
+def _log1p_sum(top: int, z: float) -> float:
+    """sum_{j=1..top} log1p(j / z) for z > top, in O(1) time.
+
+    Up to top = 64 the terms are summed. Past it, Euler-Maclaurin on
+    f(x) = log1p(x / z) over [0, top] gives the closed-form integral
+    (z + top) * log1p(top / z) - top, the end term f(top) / 2 and the
+    corrections B_2k / (2k)! * (f'(top) - f'(0)) and so on, where the
+    (2k - 1)-th derivative is (2k - 2)! / (z + x)**(2k - 1). Since z > 64
+    there, the first omitted correction is below 1e-16.
+    """
+    if top <= 64:
+        return sum(math.log1p(j / z) for j in range(1, top + 1))
+    edge = math.log1p(top / z)
+    total = (z + top) * edge - top + 0.5 * edge
+    for coef, power in _EM_TERMS:
+        total += coef * ((z + top) ** -power - z**-power)
+    return total
 
 
 @dataclass(frozen=True)

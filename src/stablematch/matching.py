@@ -198,7 +198,6 @@ def stable_husbands(
     boy_prefs = instance.boy_prefs
 
     husband: list[int | None] = [None] * n
-    wife: list[int | None] = [None] * n
     best_rank: list[int | None] = [None] * n  # best offer ever, per girl
     next_choice = [0] * n
     t = 0
@@ -215,12 +214,16 @@ def stable_husbands(
             rows[extra[0]] = extra[1]
         return Matching.from_husbands(rows)
 
+    # Free-boy selection happens only before the first output: a displaced
+    # boy proposes at once, and afterwards every girl but the designated one
+    # stays married. So the free boys there are exactly those not yet
+    # introduced, and the lowest-index one is `introduced`.
+    introduced = 0
     proposer: int | None = None
     while True:
         if proposer is None:
             # Select a free boy; if none, the matching is complete and stable.
-            free = next((b for b in range(n) if wife[b] is None), None)
-            if free is None:
+            if introduced == n:
                 s = husband[girl]
                 assert s is not None
                 husbands.append(s)
@@ -229,11 +232,11 @@ def stable_husbands(
                     trace.append(TraceEvent("output", t, boy=s))
                 first_output_time = t
                 husband[girl] = None
-                wife[s] = None
                 proposer = s
                 post_output = True
                 continue
-            proposer = free
+            proposer = introduced
+            introduced += 1
         p = proposer
         if next_choice[p] == n:
             if trace is not None:
@@ -260,11 +263,9 @@ def stable_husbands(
                 continue
         previous = husband[h]
         husband[h] = p
-        wife[p] = h
         if previous is None:
             proposer = None  # back to free-boy selection
         else:
-            wife[previous] = None
             proposer = previous
 
     raw_pre = acceptances_by_girl - (len(husbands) - 1) if husbands else 0

@@ -262,7 +262,12 @@ def run(
     (boy, time) pairs.
 
     The loop is an inlined copy of `step` for speed; the two are held in
-    agreement by tests that compare them state for state.
+    agreement by tests that compare them state for state. It reads its
+    draws from `Rng.block` instead of calling `randrange` and `random`, with
+    the same rejection rule and float, so every draw is the one `step`
+    would take. Blocks start at 8 draws and double up to 2048, so short
+    runs never compute a large block, and the draws left unread at the end
+    are handed back to the stream.
     """
     if stop not in ("natural", "cap", "first_output"):
         raise ValueError(f"unknown stop rule {stop!r}")
@@ -283,8 +288,12 @@ def run(
     pair_counts = stats.pair_counts
     outputs = stats.outputs
     rng = Rng(seed)
-    rng_randrange = rng.randrange
-    rng_random = rng.random
+    rng_block = rng.block
+    # Rng.randrange's rejection limit: draws at or above it are redrawn.
+    limit = 2**64 - 2**64 % n
+    buf = rng_block(0)
+    pos = end = 0
+    size = 8
 
     t = 0
     p = state.proposer
@@ -295,11 +304,12 @@ def run(
     redundant_total = 0
     accepts_by_g = 0
     g = girl
+    natural = stop == "natural"
     cap = max_proposals if max_proposals is not None else None
 
     while True:
         tried = proposed[p]
-        if stop == "natural" and len(tried) == n:
+        if natural and len(tried) == n:
             stats.stopped = "natural"
             break
         if cap is not None and t >= cap:
@@ -309,15 +319,20 @@ def run(
             raise RuntimeError(
                 f"safety limit of {cap} proposals reached before stop rule {stop!r}"
             )
-        if amnesia:
-            h = rng_randrange(n)
-        else:
-            if len(tried) == n:
-                stats.stopped = "natural"
-                break
-            while True:
-                h = rng_randrange(n)
-                if h not in tried:
+        if not amnesia and len(tried) == n:
+            stats.stopped = "natural"
+            break
+        while True:
+            if pos == end:
+                buf = rng_block(size)
+                pos, end = 0, size
+                if size < 2048:
+                    size += size
+            u = buf[pos]
+            pos += 1
+            if u < limit:
+                h = u % n
+                if amnesia or h not in tried:
                     break
         t += 1
         per_girl[h] += 1
@@ -334,7 +349,14 @@ def run(
         offers[h] = k
         fresh_per_girl[h] += 1
         run_fresh += 1
-        if rng_random() * k >= 1.0:
+        if pos == end:
+            buf = rng_block(size)
+            pos, end = 0, size
+            if size < 2048:
+                size += size
+        u = buf[pos]
+        pos += 1
+        if (u >> 11) * 2.0**-53 * k >= 1.0:
             continue
         if run_lengths is not None:
             run_lengths.append((p, run_len, run_fresh))
@@ -369,6 +391,7 @@ def run(
             stats.stopped = "first_output"
             break
 
+    rng.unread(end - pos)
     stats.t = t
     stats.redundant_proposals = redundant_total
     stats.acceptances_by_girl = accepts_by_g

@@ -6,12 +6,25 @@ standard statistical batteries, and produces bit-identical output on every
 platform and Python version, so simulation traces are stable forever.
 Independent child streams for parallel trials are derived by hashing a
 (master seed, index...) path through the same finalizer.
+
+Because each output depends only on its own counter value, `Rng.block`
+computes many outputs at once: k counters are packed into one Python int as
+64-bit lanes spaced 128 bits apart, so each step of the finalizer is a single
+big-integer operation over all lanes. A 64-bit by 64-bit product fits in its
+lane's 128 bits, and every shift is masked back to the low 64 bits of each
+lane, so no bit ever crosses into a neighbouring lane and the outputs are
+exactly those of k calls to `next_u64`.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def mix64(z: int) -> int:
@@ -34,6 +47,15 @@ def derive_seed(master: int, *path: int) -> int:
     return s
 
 
+@lru_cache(maxsize=16)
+def _lanes(k: int) -> tuple[int, int, int]:
+    """Per-lane constants for a k-lane block, lane i at bit 128*i: a 1 in
+    every lane, a 64-bit mask in every lane, and (i + 1) * golden in lane i."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * k, "little")
+    steps = b"".join(((i + 1) * _GOLDEN).to_bytes(16, "little") for i in range(k))
+    return ones, ones * _MASK64, int.from_bytes(steps, "little")
+
+
 class Rng:
     """A seeded SplitMix64 stream with the few draws the simulators need."""
 
@@ -48,6 +70,29 @@ class Rng:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def block(self, k: int) -> array:
+        """The next k outputs of `next_u64`, computed in one pass.
+
+        Returned as an unsigned 64-bit array ("Q"). Bit-identical to k
+        successive `next_u64` calls, and leaves the stream in the same state.
+        """
+        ones, mask, steps = _lanes(k)
+        z = (self._state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        # Each lane is two 64-bit words, low word first; the high word
+        # holds only bits shifted in from the next lane.
+        words = array("Q", z.to_bytes(16 * k, "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        self._state = (self._state + k * _GOLDEN) & _MASK64
+        return words[::2]
+
+    def unread(self, k: int) -> None:
+        """Step the stream back by k draws, so its last k outputs come again."""
+        self._state = (self._state - k * _GOLDEN) & _MASK64
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

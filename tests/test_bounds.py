@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stablematch.bounds import (
     BinomialPowerPgf,
@@ -182,6 +182,42 @@ class TestOptimizeTail:
                 assert eval_log(RisingProductPgf(m), z) == pytest.approx(
                     direct, rel=1e-12
                 )
+
+
+def _summed_beyond_m(m: int, z: float) -> float:
+    """log P(z) of the rising product as a literal sum of log1p factors."""
+    tail = math.fsum(math.log1p(j / z) for j in range(1, m))
+    return m * math.log(z) + tail - math.lgamma(m + 1)
+
+
+class TestEvalLogBeyondM:
+    """Past z = m, eval_log replaces an O(m) sum by Euler-Maclaurin."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10**5), st.floats(0.0, 1.0, exclude_min=True))
+    def test_matches_summed_form(self, m, frac):
+        z = m * (1.0 + 99.0 * frac)  # z in (m, 100 m]
+        assume(z > m)
+        expected = _summed_beyond_m(m, z)
+        assert eval_log(RisingProductPgf(m), z) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("m", [64, 65, 66, 67, 1000, 10**5])
+    def test_matches_summed_form_at_the_switch(self, m):
+        for z in (m * (1 + 1e-12), m + 0.5, 1.01 * m, 100.0 * m):
+            assert eval_log(RisingProductPgf(m), z) == pytest.approx(
+                _summed_beyond_m(m, z), rel=1e-12
+            )
+
+    def test_sizes_the_sum_cannot_reach(self):
+        # At m = 1e9 and z = 2m the log-gamma difference loses only about
+        # 1e-14 relative, so it serves as the reference here.
+        m, z = 10**9, 2e9
+        reference = math.lgamma(m + z) - math.lgamma(z) - math.lgamma(m + 1)
+        assert eval_log(RisingProductPgf(m), z) == pytest.approx(
+            reference, rel=1e-9
+        )
 
 
 class TestSoundnessSmoke:

@@ -1,0 +1,129 @@
+"""Golden digests of seeded outputs, pinned before the chain's draws moved
+to block reads and before the free-boy counter in `stable_husbands`.
+
+A digest covers everything a call returns: for `run`, the outputs and every
+RunStats field; for `stable_husbands`, the husbands, every matching, the full
+trace and the counters. Any change to a draw, its order or its use changes a
+digest. Re-pin only in a change that means to alter seeded outputs, and say
+why.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from stablematch.instance import generate_uniform
+from stablematch.matching import stable_husbands
+from stablematch.random_model import run
+
+# (n, girl, seed, stop, max_proposals, amnesia, track_pairs, track_runs, digest)
+RUN_CASES = [
+    (1, 0, 4242, "natural", None, True, True, True,
+     "94872f4688193face4c70f5c7c398b6a2eac6c43e2fe73e572dcec7133e9d6e0"),
+    (1, 0, 7, "cap", 5, True, True, True,
+     "83cdc9d4ffa58aaa03691bcd2b9a10c68d8435a198dc4b1c7662d968ea1f190c"),
+    (1, 0, 8, "first_output", None, True, True, True,
+     "f74833543c9e6efb162babcafa183e5c7a58350ffc931ae9b996489ba6b7f156"),
+    (2, 0, 11, "natural", None, True, True, True,
+     "1ccec2611405927d9e27e1d1cae51e5879e1f91e0a8083206cb8ea4a0d5746fa"),
+    (2, 1, 12, "natural", None, True, False, False,
+     "cf1830dae6df49e3658843f7d7cbdd8d1c6a1a61da8b5a9a538e236bd61bcd25"),
+    (2, 0, 13, "cap", 50, True, True, True,
+     "84129a20bcf77af1b7a5de426485dce95b0c2025b23d8076f7971003e7123f2d"),
+    (2, 1, 14, "first_output", None, True, True, True,
+     "88bc46c813a883f71b9ede3cac91dcce661f9347453ad97a3030501c7f58004f"),
+    (2, 0, 15, "natural", None, False, True, True,
+     "f79fe1a4d3ef7f216158c80d3c4d3a75b14492d7f380aca8336a9a5936d1be0c"),
+    (3, 0, 21, "natural", None, True, True, True,
+     "4844f9c168cc85cbac6708f7b4669fb84ad171189315be0d10506d77d79f36f7"),
+    (3, 1, 22, "natural", None, True, True, True,
+     "1a36befa9402d9b84a27ecea1d768ad779bc8a2a56324b816b07fd2158091895"),
+    (3, 2, 23, "natural", None, True, False, True,
+     "464180199adc9e3b8ef424064b7870a0d3777c3deed67dd5becf8433bf71ca92"),
+    (3, 0, 24, "cap", 400, True, True, True,
+     "3276f3f42434084639aa5297789dc01e38d1669e573c7024f52a6d9e6f6c21ea"),
+    (3, 0, 25, "first_output", None, True, True, True,
+     "5c2617b78c863a9722523bfdb8412597d8779a58c94937a3f7ed7cc58eb1992c"),
+    (3, 1, 26, "natural", None, False, True, True,
+     "68265ef6ac6e49627502be09354d79f44c515d698c3619ec756f16b842ae467e"),
+    (3, 0, 27, "natural", 100000, True, True, False,
+     "fa0234f9d7b835fac86e82c83399a6de04a754a3e4d0d5b28f062f793e8c13fa"),
+    (64, 0, 31, "natural", None, True, True, True,
+     "c569946c87ccf0bdbf5c5790855eafb3892324a92208b6fb1314ceddcb22dbfe"),
+    (64, 5, 32, "natural", None, True, False, False,
+     "c1b9e27c36f43443090ab09ad6dc23b03f8cccc92b8de5ee9d6143fdb4cef1a5"),
+    (64, 0, 33, "cap", 2000, True, True, True,
+     "bb584e4db1ad5574fdfc0658e5435f6b70ac346872728f04e21ba8c6d1d047ae"),
+    (64, 63, 34, "first_output", None, True, True, True,
+     "ad1c0218cdd9b7b72f00348e166d2da1b01686aad4c21fe12131d36106709a0e"),
+    (64, 0, 35, "natural", None, False, True, True,
+     "feee629acb90fa948081496e23cc6f377fd5d54b6d2b6cf730e422fa35be202e"),
+    (64, 0, 36, "cap", 700, False, False, True,
+     "b9ceb501270b11065e1843447eeb7270a32ee4d38a75d90e2d551dd0a3a02b79"),
+    (1024, 0, 41, "natural", None, True, False, False,
+     "b3464aa7ff9699c0b0b5ba8195029a9723862e5cf8c038ab59db840cd2d4df02"),
+    (1024, 0, 42, "cap", 8192, True, True, True,
+     "eb2bc8fab456cdeef2549a71bc4c02836b9a1b778dae9ea50025390626b284ac"),
+    (1024, 7, 43, "first_output", None, True, False, True,
+     "28cab8732e185925e6a4ef9f4a17cf572cd3a1a3d86d56389ae620fe2fef098a"),
+    (1024, 0, 44, "first_output", None, False, True, False,
+     "01ee7413ba1d773b73bcfcffea94d72639828057a02254cd3dd117b778406069"),
+]
+
+# (n, instance seed, girl, digest)
+ENUMERATION_CASES = [
+    (1, 1, 0,
+     "f3b32ab29176e03e56b1f14130bcc3bb06af218cdf848ebe97b63149d29c8239"),
+    (2, 2, 1,
+     "50b1c207570092a35425e807dd75dcf35cfd871e545b38df12fbebc543252eb2"),
+    (5, 3, 2,
+     "f321a205f65df02be4b2ed4f5f6d2f823d87109fb538ffcd0ebbcf0b26498225"),
+    (64, 4, 0,
+     "fabc7503652cde7fde5ccf00bbc1f7568d7e5f06a27f0f1f04e42016230f761c"),
+    (64, 5, 63,
+     "af58c38d51c300c35568f8ef8e55a378a65ba75666317c61052287c329ed485e"),
+    (256, 6, 17,
+     "fdf68c0072889862abe2c0c94721f6f521dedd5a65d2cfd8069cacb44c66a190"),
+]
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,girl,seed,stop,cap,amnesia,track_pairs,track_runs,digest", RUN_CASES
+)
+def test_run_digest(n, girl, seed, stop, cap, amnesia, track_pairs, track_runs, digest):
+    outputs, stats = run(
+        n,
+        girl,
+        seed,
+        stop=stop,
+        max_proposals=cap,
+        amnesia=amnesia,
+        track_pairs=track_pairs,
+        track_runs=track_runs,
+    )
+    assert _digest({"outputs": outputs, "stats": dataclasses.asdict(stats)}) == digest
+
+
+@pytest.mark.parametrize("n,seed,girl,digest", ENUMERATION_CASES)
+def test_stable_husbands_digest(n, seed, girl, digest):
+    enum = stable_husbands(generate_uniform(n, seed), girl, keep_trace=True)
+    doc = {
+        "husbands": enum.husbands,
+        "matchings": [m.husband_of for m in enum.matchings],
+        "trace": [dataclasses.astuple(e) for e in enum.trace],
+        "counts": [
+            enum.proposal_count,
+            enum.first_output_time,
+            enum.acceptances_by_girl,
+            enum.pre_output_acceptances,
+        ],
+    }
+    assert _digest(doc) == digest

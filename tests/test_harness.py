@@ -3,8 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stablematch
 
 from stablematch.bounds import harmonic
 from stablematch.harness import (
@@ -306,3 +312,43 @@ def test_trial_seed_derivation_is_arithmetic():
 def test_trial_result_row_shape():
     row = TrialResult(0, 7, 3, None, 1, 12).row()
     assert row == [0, 7, 3, "", 1, 12]
+
+
+NUMPY_PROBE = """
+import sys
+import stablematch.cli
+from stablematch.harness import ExperimentConfig, run_experiment
+
+for doc in [
+    {"kind": "theorem", "n": 8, "trials": 3, "master_seed": 1, "method": "a"},
+    {"kind": "theorem", "n": 8, "trials": 3, "master_seed": 1, "method": "b"},
+    {"kind": "equivalence", "n": 3, "trials": 50, "master_seed": 1},
+    {"kind": "lemma_audit", "n": 16, "trials": 2, "master_seed": 1,
+     "params": {"delta": 0.3}},
+    {"kind": "coupon", "n": 16, "trials": 3, "master_seed": 1},
+]:
+    run_experiment(ExperimentConfig.from_dict(doc))
+print("numpy" in sys.modules)
+run_experiment(ExperimentConfig.from_dict(
+    {"kind": "acceptance_dist", "n": 1, "trials": 3, "master_seed": 1,
+     "params": {"m": 10}}
+))
+print("numpy" in sys.modules)
+"""
+
+
+def test_chain_campaigns_never_import_numpy():
+    # Importing numpy adds 11 to 14 MB of peak resident memory and 55 to
+    # 75 ms of start-up, a large share of a chain campaign's peak RSS.
+    # acceptance_dist is its only user; the second line shows that the
+    # probe sees the import when it happens.
+    src = str(Path(stablematch.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["False", "True"]

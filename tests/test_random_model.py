@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablematch import random_model
 from stablematch.random_model import (
     RunStats,
     audit_window_stats,
@@ -15,6 +16,8 @@ from stablematch.random_model import (
 from stablematch.rng import Rng
 
 from oracles import tv_distance
+
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def run_via_steps(n, girl, seed, steps, amnesia=True):
@@ -118,6 +121,31 @@ def test_conservation_after_every_step(n, seed, steps):
         )
 
 
+def assert_run_matches_steps(outputs, fast, state):
+    """The fast loop's result agrees field by field with a step replay."""
+    slow = state.stats
+    assert fast.t == slow.t
+    assert fast.proposals_per_girl == slow.proposals_per_girl
+    assert fast.nonredundant_per_girl == slow.nonredundant_per_girl
+    assert fast.proposals_per_boy == slow.proposals_per_boy
+    assert fast.runs_per_boy == slow.runs_per_boy
+    assert fast.redundant_proposals == slow.redundant_proposals
+    assert fast.outputs == slow.outputs == outputs
+    assert fast.first_output_time == slow.first_output_time
+    assert fast.acceptances_by_girl == slow.acceptances_by_girl
+    assert fast.pre_output_acceptances == slow.pre_output_acceptances
+    assert fast.pair_counts == slow.pair_counts
+    # The fast loop flushes the run in progress at the stop.
+    tail = (
+        [(state.proposer, state.run_length, state.run_fresh)]
+        if state.run_length > 0
+        else []
+    )
+    assert fast.run_lengths == (slow.run_lengths or []) + tail
+    # Girls' fresh-offer counts recoverable from either side.
+    assert state.offers == fast.nonredundant_per_girl
+
+
 class TestRunStepAgreement:
     @pytest.mark.parametrize(
         "n,cap,seed",
@@ -126,27 +154,101 @@ class TestRunStepAgreement:
     def test_fast_loop_matches_instrumented_steps(self, n, cap, seed):
         outputs, fast = run(n, 0, seed, stop="cap", max_proposals=cap)
         state, _ = run_via_steps(n, 0, seed, cap)
-        slow = state.stats
-        assert fast.t == slow.t == cap
-        assert fast.proposals_per_girl == slow.proposals_per_girl
-        assert fast.nonredundant_per_girl == slow.nonredundant_per_girl
-        assert fast.proposals_per_boy == slow.proposals_per_boy
-        assert fast.runs_per_boy == slow.runs_per_boy
-        assert fast.redundant_proposals == slow.redundant_proposals
-        assert fast.outputs == slow.outputs == outputs
-        assert fast.first_output_time == slow.first_output_time
-        assert fast.acceptances_by_girl == slow.acceptances_by_girl
-        assert fast.pre_output_acceptances == slow.pre_output_acceptances
-        assert fast.pair_counts == slow.pair_counts
-        # The fast loop flushes the run in progress at the cap.
-        tail = (
-            [(state.proposer, state.run_length, state.run_fresh)]
-            if state.run_length > 0
-            else []
+        assert fast.t == cap
+        assert_run_matches_steps(outputs, fast, state)
+
+
+def _keep_streams(monkeypatch) -> list[Rng]:
+    """Record every stream `run` creates, in creation order."""
+    streams: list[Rng] = []
+
+    def keep(seed: int) -> Rng:
+        stream = Rng(seed)
+        streams.append(stream)
+        return stream
+
+    monkeypatch.setattr(random_model, "Rng", keep)
+    return streams
+
+
+@pytest.mark.parametrize(
+    "n,seed,stop,cap",
+    [
+        (1, 3, "natural", None),
+        (3, 5, "natural", None),
+        (3, 6, "first_output", None),
+        (64, 7, "cap", 9),
+        (64, 8, "natural", None),
+        (200, 9, "cap", 5000),
+        (1024, 10, "first_output", None),
+    ],
+)
+def test_stream_ends_where_the_scalar_draws_would(monkeypatch, n, seed, stop, cap):
+    # One draw per proposal plus one per fresh proposal: the block reads
+    # hand back every draw they did not use.
+    streams = _keep_streams(monkeypatch)
+    _, stats = run(n, 0, seed, stop=stop, max_proposals=cap)
+    fresh = stats.t - stats.redundant_proposals
+    assert len(streams) == 1
+    assert streams[0]._state == (seed + (stats.t + fresh) * GOLDEN) % 2**64
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer: undo each xor-shift and each
+    multiplication by an odd constant, mod 2**64, in reverse order."""
+    mask = 2**64 - 1
+    z ^= z >> 31 ^ z >> 62
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    z ^= z >> 30 ^ z >> 60
+    return z
+
+
+def _seed_with_top_draw(j: int) -> int:
+    """A seed whose draw number j (0-based) is 2**64 - 1."""
+    return (_unmix64(2**64 - 1) - (j + 1) * GOLDEN) % 2**64
+
+
+class TestForcedRejection:
+    """At n = 3, randrange rejects exactly one value, 2**64 - 1, so these
+    seeds force the rejection branch: on the first draw, on the first draw
+    of the second block (8 draws), and on the last draw of the second
+    block (draws 8 to 23), whose redraw comes from the third block."""
+
+    @pytest.mark.parametrize(
+        "j,stop,cap,amnesia",
+        [
+            (0, "natural", None, True),
+            (0, "natural", None, False),
+            (8, "natural", None, True),
+            (23, "cap", 60, True),
+        ],
+    )
+    def test_run_equals_step_replay(self, monkeypatch, j, stop, cap, amnesia):
+        n = 3
+        seed = _seed_with_top_draw(j)
+        probe = Rng(seed)
+        assert [probe.next_u64() for _ in range(j + 1)][-1] == 2**64 - 1
+        streams = _keep_streams(monkeypatch)
+        outputs, fast = run(
+            n, 0, seed, stop=stop, max_proposals=cap, amnesia=amnesia
         )
-        assert fast.run_lengths == (slow.run_lengths or []) + tail
-        # Girls' fresh-offer counts recoverable from either side.
-        assert state.offers == fast.nonredundant_per_girl
+
+        state = new_state(n, 0)
+        rng = Rng(seed)
+        while (
+            state.stats.t < cap
+            if stop == "cap"
+            else len(state.proposed[state.proposer]) < n
+        ):
+            step(state, rng, amnesia=amnesia)
+        assert_run_matches_steps(outputs, fast, state)
+        assert streams[0]._state == rng._state
+        if amnesia:
+            # The rejected draw is one more than proposals plus fresh ones.
+            fresh = fast.t - fast.redundant_proposals
+            assert rng._state == (seed + (fast.t + fresh + 1) * GOLDEN) % 2**64
 
 
 class TestStopRules:

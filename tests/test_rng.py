@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stablematch.rng import Rng, derive_seed, mix64
 
@@ -21,6 +21,7 @@ REFERENCE_SEED0 = [
 def test_matches_reference_stream():
     rng = Rng(0)
     assert [rng.next_u64() for _ in range(5)] == REFERENCE_SEED0
+    assert list(Rng(0).block(5)) == REFERENCE_SEED0
 
 
 def test_same_seed_same_stream():
@@ -79,3 +80,28 @@ def test_shuffle_preserves_multiset(items, seed):
 def test_randrange_in_bounds(n, seed):
     rng = Rng(seed)
     assert all(0 <= rng.randrange(n) < n for _ in range(20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 320), st.integers(0, 2**64 - 1))
+def test_block_equals_scalar_draws(k, seed):
+    a, b = Rng(seed), Rng(seed)
+    assert list(a.block(k)) == [b.next_u64() for _ in range(k)]
+    assert a._state == b._state
+
+
+@pytest.mark.parametrize("k", [0, 1, 8, 2048, 2049])
+def test_block_at_run_sizes(k):
+    # The chain reads blocks of 8 doubling to 2048; its first buffer is empty.
+    a, b = Rng(2**64 - 1), Rng(2**64 - 1)
+    assert list(a.block(k)) == [b.next_u64() for _ in range(k)]
+    assert a._state == b._state
+
+
+def test_unread_round_trip():
+    rng = Rng(99)
+    first = list(rng.block(40))
+    rng.unread(15)
+    assert [rng.next_u64() for _ in range(15)] == first[25:]
+    rng.unread(40)
+    assert list(rng.block(40)) == first
