@@ -28,14 +28,6 @@ def _emit(doc: object) -> None:
     sys.stdout.write("\n")
 
 
-def _load_instance(path: str) -> instance_mod.PreferenceInstance:
-    inst = instance_mod.load(path)
-    problems = instance_mod.validate(inst)
-    if problems:
-        raise instance_mod.InstanceLoadError("malformed", "; ".join(problems))
-    return inst
-
-
 def _load_matching(path: str, n: int) -> Matching:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     rows = doc["husband_of"] if isinstance(doc, dict) else doc
@@ -56,7 +48,7 @@ def _matching_letters(m: Matching) -> str:
 
 
 def _cmd_husbands(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = instance_mod.load(args.instance)
     enum = stable_husbands(inst, args.girl, keep_trace=args.trace)
     doc: dict = {
         "girl": args.girl,
@@ -85,7 +77,7 @@ def _cmd_husbands(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = instance_mod.load(args.instance)
     matching = _load_matching(args.matching, inst.n)
     pairs = find_blocking_pairs(inst, matching)
     # The payload is the blocking-pair list itself; empty means stable.
@@ -94,7 +86,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = instance_mod.load(args.instance)
     stable = enumerate_stable(inst)
     _emit(
         {
@@ -176,12 +168,6 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.config:
         config = ExperimentConfig.from_json_file(args.config)
-        if args.workers is not None:
-            config.workers = args.workers
-        if args.out is not None:
-            config.out_dir = args.out
-        if args.plot_data:
-            config.plot_data = True
     else:
         if args.kind is None or args.n is None or args.trials is None or args.seed is None:
             raise ConfigError(
@@ -205,11 +191,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 "girl": args.girl,
                 "method": args.method,
                 "params": params,
-                "workers": args.workers if args.workers is not None else 1,
-                "out_dir": args.out,
-                "plot_data": args.plot_data,
             }
         )
+    if args.workers is not None:
+        config.workers = args.workers
+    if args.out is not None:
+        config.out_dir = args.out
+    if args.plot_data:
+        config.plot_data = True
     report, rows = run_experiment(config)
     write_outputs(config, report, rows)
     _emit(report)

@@ -31,17 +31,16 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import lt
 from pathlib import Path
+from typing import Callable
 
 from . import bounds as _bounds
 from .instance import generate_uniform
 from .matching import stable_husbands
 from .random_model import audit_window_stats, run as run_process
-from .rng import derive_seed
-
-KINDS = ("theorem", "equivalence", "lemma_audit", "acceptance_dist", "coupon")
-_KIND_IDS = {kind: i + 1 for i, kind in enumerate(KINDS)}
+from .rng import Rng, derive_seed
 
 CSV_COLUMNS = (
     "trial",
@@ -99,37 +98,13 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("experiment config must be a JSON object")
-        unknown = set(doc) - {
-            "kind",
-            "n",
-            "trials",
-            "master_seed",
-            "girl",
-            "method",
-            "params",
-            "gate",
-            "workers",
-            "out_dir",
-            "plot_data",
-        }
+        unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            config = ExperimentConfig(
-                kind=str(doc["kind"]).lower(),
-                n=doc["n"],
-                trials=doc["trials"],
-                master_seed=doc["master_seed"],
-                girl=doc.get("girl", 0),
-                method=doc.get("method", "a"),
-                params=doc.get("params", {}),
-                gate=doc.get("gate"),
-                workers=doc.get("workers", 1),
-                out_dir=doc.get("out_dir"),
-                plot_data=doc.get("plot_data", False),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key {exc}")
+        for key in ("kind", "n", "trials", "master_seed"):
+            if key not in doc:
+                raise ConfigError(f"missing config key {key!r}")
+        config = ExperimentConfig(**{**doc, "kind": str(doc["kind"]).lower()})
         validate_config(config)
         return config
 
@@ -142,45 +117,88 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def validate_config(config: ExperimentConfig) -> None:
-    """Reject an infeasible configuration before any work happens."""
+    """Reject an infeasible or mistyped configuration before any work."""
     if config.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}; one of {KINDS}")
-    sizes = config.sizes
-    if not sizes or any(not isinstance(n, int) or n < 1 for n in sizes):
+    spec = _KINDS[config.kind]
+    ns = config.n if isinstance(config.n, list) else [config.n]
+    if not ns or any(not _is_int(n) or n < 1 for n in ns):
         raise ConfigError(f"n must be a positive integer or list of them, got {config.n}")
-    if not isinstance(config.trials, int) or config.trials < 1:
+    if not _is_int(config.trials) or config.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {config.trials}")
-    if not isinstance(config.master_seed, int):
+    if not _is_int(config.master_seed):
         raise ConfigError("master_seed must be an integer")
+    if not _is_int(config.girl):
+        raise ConfigError(f"girl must be an integer, got {config.girl!r}")
     if config.method not in ("a", "b"):
         raise ConfigError(f"method must be 'a' or 'b', got {config.method!r}")
-    if config.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    p = config.params
-    if config.kind in ("theorem", "equivalence", "coupon", "lemma_audit"):
-        if not all(0 <= config.girl < n for n in sizes):
-            raise ConfigError(f"girl index {config.girl} out of range for n={config.n}")
+    if not _is_int(config.workers) or config.workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {config.workers!r}")
+    if config.out_dir is not None and not isinstance(config.out_dir, (str, Path)):
+        raise ConfigError(f"out_dir must be a path string, got {config.out_dir!r}")
+    if not isinstance(config.plot_data, bool):
+        raise ConfigError(f"plot_data must be true or false, got {config.plot_data!r}")
+    if not isinstance(config.params, dict):
+        raise ConfigError(f"params must be an object, got {config.params!r}")
+    _validate_gate(config.kind, spec, config.gate)
+    for key in spec.params:
+        value = config.params.get(key, spec.params[key])
+        if value is not None and not _is_number(value):
+            raise ConfigError(f"params.{key} must be a number, got {value!r}")
+    p = _params(config)
+    if config.kind != "acceptance_dist" and not all(0 <= config.girl < n for n in ns):
+        raise ConfigError(f"girl index {config.girl} out of range for n={config.n}")
     if config.kind == "theorem":
-        c = p.get("c", 0.3)
-        big_c = p.get("C", 2.0)
-        delta = p.get("delta", 0.45)
-        eps = p.get("eps", 0.05)
-        for n in sizes:
+        for n in ns:
             try:
-                _bounds.husband_count_envelope(n, c, big_c, delta, eps)
+                _bounds.husband_count_envelope(n, p["c"], p["C"], p["delta"], p["eps"])
             except ValueError as exc:
                 raise ConfigError(f"theorem parameters infeasible at n={n}: {exc}")
     if config.kind == "lemma_audit":
-        delta = p.get("delta")
-        if delta is None or not 0 < delta < 0.5:
+        if p["delta"] is None or not 0 < p["delta"] < 0.5:
             raise ConfigError("lemma_audit requires params.delta in (0, 1/2)")
     if config.kind == "acceptance_dist":
-        m = p.get("m")
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(p["m"]) or p["m"] < 1:
             raise ConfigError("acceptance_dist requires integer params.m >= 1")
-        if p.get("eps", 0.5) <= 0:
+        if p["eps"] <= 0:
             raise ConfigError("acceptance_dist eps must be positive")
+
+
+def _validate_gate(kind: str, spec: "_Kind", gate) -> None:
+    if gate is None:
+        return
+    if not isinstance(gate, dict):
+        raise ConfigError(f"gate must be an object, got {gate!r}")
+    allowed = tuple(g.key for g in spec.gates)
+    unknown = set(gate) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"gate keys {sorted(unknown)} not valid for kind {kind!r}; "
+            f"allowed: {allowed}"
+        )
+    for g in spec.gates:
+        if g.key not in gate:
+            continue
+        value = gate[g.key]
+        pair = isinstance(value, (list, tuple)) and len(value) == 2
+        if g.compare == "range" and not (pair and all(map(_is_number, value))):
+            raise ConfigError(f"gate.{g.key} must be [lo, hi], got {value!r}")
+        if g.compare not in ("range", "flag") and not _is_number(value):
+            raise ConfigError(f"gate.{g.key} must be a number, got {value!r}")
+
+
+def _params(config: ExperimentConfig) -> dict:
+    """The kind's parameters, each default filled in from the kinds table."""
+    return {**_KINDS[config.kind].params, **config.params}
 
 
 @dataclass(frozen=True)
@@ -249,32 +267,8 @@ def tv_distance(counts_a: Counter, counts_b: Counter, t_a: int, t_b: int) -> flo
     return 0.5 * sum(abs(counts_a[k] / t_a - counts_b[k] / t_b) for k in keys)
 
 
-def _husband_count_trial(args: tuple) -> TrialResult:
-    """One theorem/equivalence-style trial; picklable for worker pools."""
-    trial, seed, n, girl, method = args
-    start = time.perf_counter_ns()
-    if method == "a":
-        enum = stable_husbands(generate_uniform(n, seed), girl)
-        count = len(enum.husbands)
-        fot = enum.first_output_time
-        pre = enum.pre_output_acceptances
-    else:
-        outputs, stats = run_process(
-            n, girl, seed, stop="natural", track_pairs=False, track_runs=False
-        )
-        count = len(outputs)
-        fot = stats.first_output_time
-        pre = stats.pre_output_acceptances
-    elapsed = (time.perf_counter_ns() - start) // 1000
-    return TrialResult(trial, seed, count, fot, pre, elapsed)
-
-
-def _coupon_trial(args: tuple) -> TrialResult:
-    trial, seed, n, girl = args
-    start = time.perf_counter_ns()
-    outputs, stats = run_process(
-        n, girl, seed, stop="first_output", track_pairs=False, track_runs=False
-    )
+def _row(trial: int, seed: int, start: int, outputs: list, stats) -> TrialResult:
+    """A trial's row from its husbands and its RunStats or enumeration."""
     elapsed = (time.perf_counter_ns() - start) // 1000
     return TrialResult(
         trial,
@@ -286,21 +280,34 @@ def _coupon_trial(args: tuple) -> TrialResult:
     )
 
 
+def _husband_count_trial(args: tuple) -> TrialResult:
+    """One theorem/equivalence-style trial; picklable for worker pools."""
+    trial, seed, n, girl, method = args
+    start = time.perf_counter_ns()
+    if method == "a":
+        enum = stable_husbands(generate_uniform(n, seed), girl)
+        return _row(trial, seed, start, enum.husbands, enum)
+    outputs, stats = run_process(
+        n, girl, seed, stop="natural", track_pairs=False, track_runs=False
+    )
+    return _row(trial, seed, start, outputs, stats)
+
+
+def _coupon_trial(args: tuple) -> TrialResult:
+    trial, seed, n, girl = args
+    start = time.perf_counter_ns()
+    outputs, stats = run_process(
+        n, girl, seed, stop="first_output", track_pairs=False, track_runs=False
+    )
+    return _row(trial, seed, start, outputs, stats)
+
+
 def _audit_trial(args: tuple) -> tuple[TrialResult, dict]:
     trial, seed, n, girl, delta, cap = args
     start = time.perf_counter_ns()
     outputs, stats = run_process(n, girl, seed, stop="cap", max_proposals=cap)
     report = audit_window_stats(stats, n, delta)
-    elapsed = (time.perf_counter_ns() - start) // 1000
-    result = TrialResult(
-        trial,
-        seed,
-        len(outputs),
-        stats.first_output_time,
-        stats.pre_output_acceptances,
-        elapsed,
-    )
-    return result, report.to_dict()
+    return _row(trial, seed, start, outputs, stats), report.to_dict()
 
 
 def _map_trials(worker, args_list: list, workers: int) -> list:
@@ -323,16 +330,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
     blocks = []
     all_rows: list[TrialResult] = []
     for n in config.sizes:
-        if config.kind == "theorem":
-            block, rows = _run_theorem_block(config, n)
-        elif config.kind == "equivalence":
-            block, rows = _run_equivalence_block(config, n)
-        elif config.kind == "lemma_audit":
-            block, rows = _run_audit_block(config, n)
-        elif config.kind == "acceptance_dist":
-            block, rows = _run_acceptance_block(config, n)
-        else:
-            block, rows = _run_coupon_block(config, n)
+        block, rows = _KINDS[config.kind].run_block(config, n)
         blocks.append(block)
         all_rows.extend(rows)
     report = {
@@ -353,10 +351,8 @@ def _trial_seeds(config: ExperimentConfig, n: int, stream: int = 0) -> list[int]
 
 
 def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
-    p = config.params
-    envelope = _bounds.husband_count_envelope(
-        n, p.get("c", 0.3), p.get("C", 2.0), p.get("delta", 0.45), p.get("eps", 0.05)
-    )
+    p = _params(config)
+    envelope = _bounds.husband_count_envelope(n, p["c"], p["C"], p["delta"], p["eps"])
     seeds = _trial_seeds(config, n)
     args = [(i, s, n, config.girl, config.method) for i, s in enumerate(seeds)]
     results = _map_trials(_husband_count_trial, args, config.workers)
@@ -437,26 +433,34 @@ def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     return block, results
 
 
-def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
-    import numpy as np
+def _acceptance_limit(k: int) -> int:
+    """The draw bound for offer k: a 64-bit draw u accepts offer k exactly
+    when u < _acceptance_limit(k).
 
-    m = config.params["m"]
-    eps = config.params.get("eps", 0.5)
-    kind_id = _KIND_IDS["acceptance_dist"]
-    inv_k = 1.0 / np.arange(1, m + 1)
+    That is the chain's rule, (u >> 11) * 2.0**-53 * k < 1.0. Below 1 the
+    product is an integer under 2**53 times 2**-53, so no rounding occurs
+    and the rule holds exactly when (u >> 11) * k < 2**53.
+    """
+    return -(-(2**53) // k) << 11
+
+
+def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
+    p = _params(config)
+    m, eps = p["m"], p["eps"]
+    limits = list(map(_acceptance_limit, range(1, m + 1)))
+    # Blocks of at most 2048 draws keep the block constants small at any m.
+    chunks = [limits[i : i + 2048] for i in range(0, m, 2048)]
     counts: list[int] = []
     results: list[TrialResult] = []
-    for trial in range(config.trials):
-        seed = derive_seed(config.master_seed, kind_id, n, 0, trial)
+    for trial, seed in enumerate(_trial_seeds(config, n)):
         start = time.perf_counter_ns()
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        count = int((gen.random(m) < inv_k).sum())
+        rng = Rng(seed)
+        count = sum(sum(map(lt, rng.block(len(c)), c)) for c in chunks)
         elapsed = (time.perf_counter_ns() - start) // 1000
         counts.append(count)
         results.append(TrialResult(trial, seed, count, None, 0, elapsed))
     h_m = _bounds.harmonic(m)
-    h2_m = _bounds.harmonic_second(m)
-    expected_var = h_m - h2_m
+    expected_var = h_m - _bounds.harmonic_second(m)
     stderr = math.sqrt(expected_var / config.trials)
     mean = sum(counts) / len(counts)
     threshold = (1 + eps) * math.log(m)
@@ -506,81 +510,107 @@ def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     return block, results
 
 
-_GATE_KEYS = {
-    "theorem": ("min_inside_fraction", "median_range"),
-    "equivalence": ("max_tv",),
-    "lemma_audit": ("min_all_pass_rate",),
-    "acceptance_dist": ("max_mean_error_stderr", "tail_within_bound"),
-    "coupon": ("max_mean_relative_error", "min_window_fraction"),
+@dataclass(frozen=True)
+class _Gate:
+    """One gate key: the block field it reads and how the value must compare.
+
+    compare is "min" (value >= limit), "max" (value <= limit), "abs_max"
+    (|value| <= limit), "range" (lo <= value <= hi) or "flag" (when set,
+    the value must not exceed the block's own tail bound). label names the
+    value in a failure, "{}" standing for the value.
+    """
+
+    key: str
+    label: str
+    field: tuple[str, ...]
+    compare: str
+
+    def failure(self, block: dict, limit) -> str | None:
+        got = block
+        for part in self.field:
+            got = got[part]
+        if self.compare == "abs_max":
+            got = abs(got)
+        if self.compare == "min":
+            failed, rule = got is None or got < limit, f"< {limit}"
+        elif self.compare == "range":
+            lo, hi = limit
+            failed, rule = not lo <= got <= hi, f"outside [{lo}, {hi}]"
+        elif self.compare == "flag":
+            bound = block["tail_bound"]["value"]
+            failed, rule = limit and got > bound, f"exceeds bound {bound}"
+        else:
+            failed, rule = got > limit, f"> {limit}"
+        return f"{self.label.format(got)} {rule}" if failed else None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """An experiment kind: its block runner, the parameters it reads with
+    their defaults (None where the config must give one), and its gates."""
+
+    run_block: Callable[[ExperimentConfig, int], tuple[dict, list]]
+    params: dict
+    gates: tuple[_Gate, ...]
+
+
+# The order fixes each kind's id in the per-trial seed path.
+_KINDS = {
+    "theorem": _Kind(
+        _run_theorem_block,
+        {"c": 0.3, "C": 2.0, "delta": 0.45, "eps": 0.05},
+        (
+            _Gate("min_inside_fraction", "inside_fraction {}",
+                  ("summary", "inside_fraction"), "min"),
+            _Gate("median_range", "median {}", ("summary", "p50"), "range"),
+        ),
+    ),
+    "equivalence": _Kind(
+        _run_equivalence_block,
+        {},
+        (_Gate("max_tv", "tv_distance {}", ("tv_distance",), "max"),),
+    ),
+    "lemma_audit": _Kind(
+        _run_audit_block,
+        {"delta": None},
+        (_Gate("min_all_pass_rate", "all_pass_rate {}", ("all_pass_rate",), "min"),),
+    ),
+    "acceptance_dist": _Kind(
+        _run_acceptance_block,
+        {"m": None, "eps": 0.5},
+        (
+            _Gate("max_mean_error_stderr", "|mean error| {} stderr",
+                  ("mean_error_in_stderr",), "abs_max"),
+            _Gate("tail_within_bound", "tail_frequency {}",
+                  ("tail_frequency",), "flag"),
+        ),
+    ),
+    "coupon": _Kind(
+        _run_coupon_block,
+        {},
+        (
+            _Gate("max_mean_relative_error", "mean_relative_error {}",
+                  ("mean_relative_error",), "max"),
+            _Gate("min_window_fraction", "within_window_fraction {}",
+                  ("within_window_fraction",), "min"),
+        ),
+    ),
 }
+KINDS = tuple(_KINDS)
+_KIND_IDS = {kind: i + 1 for i, kind in enumerate(KINDS)}
 
 
 def check_gate(config: ExperimentConfig, report: dict) -> list[str]:
     """Gate failures for the report, empty when everything demanded holds."""
-    gate = config.gate
-    if not gate:
-        return []
-    allowed = _GATE_KEYS[config.kind]
-    unknown = set(gate) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"gate keys {sorted(unknown)} not valid for kind {config.kind!r}; "
-            f"allowed: {allowed}"
-        )
+    gate = config.gate or {}
     failures = []
     for block in report["blocks"]:
         label = f"n={block.get('n', block.get('m'))}"
-        if config.kind == "theorem":
-            if "min_inside_fraction" in gate:
-                got = block["summary"]["inside_fraction"]
-                if got < gate["min_inside_fraction"]:
-                    failures.append(
-                        f"{label}: inside_fraction {got} < {gate['min_inside_fraction']}"
-                    )
-            if "median_range" in gate:
-                lo, hi = gate["median_range"]
-                got = block["summary"]["p50"]
-                if not lo <= got <= hi:
-                    failures.append(f"{label}: median {got} outside [{lo}, {hi}]")
-        elif config.kind == "equivalence":
-            got = block["tv_distance"]
-            if got > gate["max_tv"]:
-                failures.append(f"{label}: tv_distance {got} > {gate['max_tv']}")
-        elif config.kind == "lemma_audit":
-            got = block["all_pass_rate"]
-            if got < gate["min_all_pass_rate"]:
-                failures.append(
-                    f"{label}: all_pass_rate {got} < {gate['min_all_pass_rate']}"
-                )
-        elif config.kind == "acceptance_dist":
-            if "max_mean_error_stderr" in gate:
-                got = abs(block["mean_error_in_stderr"])
-                if got > gate["max_mean_error_stderr"]:
-                    failures.append(
-                        f"{label}: |mean error| {got} stderr > "
-                        f"{gate['max_mean_error_stderr']}"
-                    )
-            if gate.get("tail_within_bound"):
-                if block["tail_frequency"] > block["tail_bound"]["value"]:
-                    failures.append(
-                        f"{label}: tail_frequency {block['tail_frequency']} exceeds "
-                        f"bound {block['tail_bound']['value']}"
-                    )
-        else:  # coupon
-            if "max_mean_relative_error" in gate:
-                got = block["mean_relative_error"]
-                if got > gate["max_mean_relative_error"]:
-                    failures.append(
-                        f"{label}: mean_relative_error {got} > "
-                        f"{gate['max_mean_relative_error']}"
-                    )
-            if "min_window_fraction" in gate:
-                got = block["within_window_fraction"]
-                if got is None or got < gate["min_window_fraction"]:
-                    failures.append(
-                        f"{label}: within_window_fraction {got} < "
-                        f"{gate['min_window_fraction']}"
-                    )
+        for g in _KINDS[config.kind].gates:
+            if g.key in gate:
+                failure = g.failure(block, gate[g.key])
+                if failure is not None:
+                    failures.append(f"{label}: {failure}")
     return failures
 
 

@@ -111,16 +111,35 @@ def fixture_4x4() -> PreferenceInstance:
     return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)
 
 
+def _row_problems(side: str, i: int, row: object, n: int):
+    """Yield (kind, message) for each fault of one preference row: a wrong
+    length, then every entry that is not an integer, out of range, or a
+    repeat. Kinds are those of InstanceLoadError."""
+    if not isinstance(row, (list, tuple)) or len(row) != n:
+        size = len(row) if isinstance(row, (list, tuple)) else type(row).__name__
+        yield "size-mismatch", f"{side} {i}: row has length {size}, expected {n}"
+        return
+    seen: set[int] = set()
+    for v in row:
+        if not isinstance(v, int) or isinstance(v, bool):
+            yield "malformed", f"{side} {i}: non-integer entry {v!r}"
+        elif not 0 <= v < n:
+            yield "out-of-range", f"{side} {i}: entry {v} out of range [0, {n})"
+        elif v in seen:
+            yield "duplicate", f"{side} {i}: duplicate {v} in preference row"
+        else:
+            seen.add(v)
+
+
 def validate(instance: PreferenceInstance) -> list[str]:
     """All invariant violations in the instance, empty if it is well formed.
 
     Never raises; each entry names the offending row or table cell.
     """
-    problems: list[str] = []
     n = instance.n
     if n < 1:
-        problems.append(f"n must be >= 1, got {n}")
-        return problems
+        return [f"n must be >= 1, got {n}"]
+    problems: list[str] = []
     for side, prefs, ranks in (
         ("girl", instance.girl_prefs, instance.girl_rank),
         ("boy", instance.boy_prefs, instance.boy_rank),
@@ -132,20 +151,9 @@ def validate(instance: PreferenceInstance) -> list[str]:
             problems.append(f"{side}_rank has {len(ranks)} rows, expected {n}")
             continue
         for i, row in enumerate(prefs):
-            seen: set[int] = set()
-            row_ok = True
-            if len(row) != n:
-                problems.append(f"{side} {i}: row has length {len(row)}, expected {n}")
-                continue
-            for v in row:
-                if not 0 <= v < n:
-                    problems.append(f"{side} {i}: entry {v} out of range [0, {n})")
-                    row_ok = False
-                elif v in seen:
-                    problems.append(f"{side} {i}: duplicate {v} in preference row")
-                    row_ok = False
-                seen.add(v)
-            if not row_ok:
+            row_problems = [message for _, message in _row_problems(side, i, row, n)]
+            problems.extend(row_problems)
+            if row_problems:
                 continue
             for pos, who in enumerate(row):
                 if ranks[i][who] != pos:
@@ -180,7 +188,11 @@ def load(source: str | Path) -> PreferenceInstance:
 
 
 def from_dict(doc: object) -> PreferenceInstance:
-    """Build and check an instance from an already-parsed JSON document."""
+    """Build and check an instance from an already-parsed JSON document.
+
+    Raises the first fault found, with its kind; the rank tables are then
+    derived from rows already checked, so the result always validates.
+    """
     if not isinstance(doc, dict):
         raise InstanceLoadError("malformed", "instance document must be an object")
     try:
@@ -191,31 +203,14 @@ def from_dict(doc: object) -> PreferenceInstance:
         raise InstanceLoadError("malformed", f"missing key {exc} in instance document")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceLoadError("malformed", f"n must be a positive integer, got {n!r}")
-    for side, rows in (("girl_prefs", girl_prefs), ("boy_prefs", boy_prefs)):
+    for side, rows in (("girl", girl_prefs), ("boy", boy_prefs)):
         if not isinstance(rows, list) or len(rows) != n:
             raise InstanceLoadError(
                 "size-mismatch",
-                f"{side} must have exactly {n} rows, got "
+                f"{side}_prefs must have exactly {n} rows, got "
                 f"{len(rows) if isinstance(rows, list) else type(rows).__name__}",
             )
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise InstanceLoadError(
-                    "size-mismatch", f"{side}[{i}] must have exactly {n} entries"
-                )
-            seen: set[int] = set()
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InstanceLoadError(
-                        "malformed", f"{side}[{i}] contains non-integer entry {v!r}"
-                    )
-                if not 0 <= v < n:
-                    raise InstanceLoadError(
-                        "out-of-range", f"{side}[{i}] entry {v} out of range [0, {n})"
-                    )
-                if v in seen:
-                    raise InstanceLoadError(
-                        "duplicate", f"{side}[{i}] repeats entry {v}"
-                    )
-                seen.add(v)
+            for kind, message in _row_problems(side, i, row, n):
+                raise InstanceLoadError(kind, message)
     return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)

@@ -160,123 +160,23 @@ def new_state(
     )
 
 
-def step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepEvent:
-    """Perform exactly one proposal and resolve it, mutating the state.
+def _advance(
+    state: ProcessState, rng: Rng, stop: str, cap: int | None, amnesia: bool
+) -> tuple[str, int | None]:
+    """Make proposals from `state` until the stop rule fires: the chain's loop,
+    behind both `run` and `step`.
 
-    Draw order is fixed for reproducibility: one uniform integer for the
-    proposed girl, then (for fresh proposals only) one uniform real for the
-    acceptance test against 1/k. A redundant proposal consumes just the
-    integer draw, is rejected, and leaves the proposer in place. With
-    amnesia off, the proposer draws uniformly among the girls he has not
-    tried, which changes no output distribution but makes every proposal
-    fresh; it is an error to step an exhausted proposer in that mode.
+    stop is a stop rule of `run`; cap is the proposal count where "cap"
+    fires, and a safety limit for the other rules. The state is loaded into
+    locals and written back at the end. Draws come from `Rng.block`, with
+    `randrange`'s rejection rule and `random`'s float, so each is the draw
+    those calls would take. Blocks start at 8 draws and double up to 2048,
+    so short runs never compute a large block, and unread draws are handed
+    back to the stream. Returns the stop that fired and the girl of the last
+    proposal (None if none was made).
     """
     n = state.n
     stats = state.stats
-    p = state.proposer
-    tried = state.proposed[p]
-    if amnesia:
-        h = rng.randrange(n)
-    else:
-        if len(tried) == n:
-            raise ValueError(f"proposer {p} has already tried every girl")
-        while True:
-            h = rng.randrange(n)
-            if h not in tried:
-                break
-    stats.t += 1
-    t = stats.t
-    stats.proposals_per_girl[h] += 1
-    stats.proposals_per_boy[p] += 1
-    state.run_length += 1
-    if stats.pair_counts is not None:
-        pc = stats.pair_counts[p]
-        pc[h] = pc.get(h, 0) + 1
-    if h in tried:
-        stats.redundant_proposals += 1
-        return StepEvent(t, p, h, redundant=True, accepted=False)
-    tried.add(h)
-    k = state.offers[h] + 1
-    state.offers[h] = k
-    stats.nonredundant_per_girl[h] += 1
-    state.run_fresh += 1
-    if rng.random() * k >= 1.0:
-        return StepEvent(t, p, h, redundant=False, accepted=False)
-
-    # Accepted: the run ends and a new proposer is dispatched.
-    if stats.run_lengths is not None:
-        stats.run_lengths.append((p, state.run_length, state.run_fresh))
-    state.run_length = 0
-    state.run_fresh = 0
-    if h == state.girl:
-        stats.acceptances_by_girl += 1
-        if stats.first_output_time is None:
-            stats.pre_output_acceptances = stats.acceptances_by_girl
-    previous = state.best_offer[h]
-    state.best_offer[h] = p
-    output: int | None = None
-    if previous is None:
-        if state.introduced < n:
-            nxt = state.introduced
-            state.introduced += 1
-        else:
-            output = state.best_offer[state.girl]
-            assert output is not None
-            nxt = output
-    elif h == state.girl and state.post_first_output:
-        output = p
-        nxt = p
-    else:
-        nxt = previous
-    if output is not None:
-        stats.outputs.append((output, t))
-        if stats.first_output_time is None:
-            stats.first_output_time = t
-            stats.pre_output_acceptances = stats.acceptances_by_girl - 1
-            state.post_first_output = True
-    state.proposer = nxt
-    stats.runs_per_boy[nxt] += 1
-    return StepEvent(t, p, h, redundant=False, accepted=True, output=output)
-
-
-def run(
-    n: int,
-    girl: int,
-    seed: int,
-    stop: str = "natural",
-    max_proposals: int | None = None,
-    amnesia: bool = True,
-    track_pairs: bool = True,
-    track_runs: bool = True,
-) -> tuple[list[tuple[int, int]], RunStats]:
-    """Run the chain from a fresh state until the stop rule fires.
-
-    stop is one of:
-      "natural"      the current proposer has tried every girl, which is
-                     where the deterministic search would terminate;
-      "cap"          exactly max_proposals proposals have been made;
-      "first_output" the first husband has just been emitted.
-
-    max_proposals is required for "cap" and acts as a safety limit for the
-    other rules when given. Returns (outputs, stats); outputs are
-    (boy, time) pairs.
-
-    The loop is an inlined copy of `step` for speed; the two are held in
-    agreement by tests that compare them state for state. It reads its
-    draws from `Rng.block` instead of calling `randrange` and `random`, with
-    the same rejection rule and float, so every draw is the one `step`
-    would take. Blocks start at 8 draws and double up to 2048, so short
-    runs never compute a large block, and the draws left unread at the end
-    are handed back to the stream.
-    """
-    if stop not in ("natural", "cap", "first_output"):
-        raise ValueError(f"unknown stop rule {stop!r}")
-    if stop == "cap":
-        if max_proposals is None or max_proposals < 1:
-            raise ValueError("stop='cap' requires max_proposals >= 1")
-    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
-    stats = state.stats
-
     proposed = state.proposed
     best_offer = state.best_offer
     offers = state.offers
@@ -287,7 +187,6 @@ def run(
     run_lengths = stats.run_lengths
     pair_counts = stats.pair_counts
     outputs = stats.outputs
-    rng = Rng(seed)
     rng_block = rng.block
     # Rng.randrange's rejection limit: draws at or above it are redrawn.
     limit = 2**64 - 2**64 % n
@@ -295,32 +194,32 @@ def run(
     pos = end = 0
     size = 8
 
-    t = 0
+    t = stats.t
     p = state.proposer
     introduced = state.introduced
-    post = False
-    run_len = 0
-    run_fresh = 0
-    redundant_total = 0
-    accepts_by_g = 0
-    g = girl
+    post = state.post_first_output
+    run_len = state.run_length
+    run_fresh = state.run_fresh
+    redundant_total = stats.redundant_proposals
+    accepts_by_g = stats.acceptances_by_girl
+    g = state.girl
     natural = stop == "natural"
-    cap = max_proposals if max_proposals is not None else None
+    h = None
 
     while True:
         tried = proposed[p]
         if natural and len(tried) == n:
-            stats.stopped = "natural"
+            fired = "natural"
             break
         if cap is not None and t >= cap:
             if stop == "cap":
-                stats.stopped = "cap"
+                fired = "cap"
                 break
             raise RuntimeError(
                 f"safety limit of {cap} proposals reached before stop rule {stop!r}"
             )
         if not amnesia and len(tried) == n:
-            stats.stopped = "natural"
+            fired = "natural"
             break
         while True:
             if pos == end:
@@ -388,7 +287,7 @@ def run(
         p = nxt
         runs_per_boy[p] += 1
         if stop == "first_output" and emitted is not None:
-            stats.stopped = "first_output"
+            fired = "first_output"
             break
 
     rng.unread(end - pos)
@@ -397,15 +296,71 @@ def run(
     stats.acceptances_by_girl = accepts_by_g
     if stats.first_output_time is None:
         stats.pre_output_acceptances = accepts_by_g
-    if run_lengths is not None and run_len > 0:
-        # The run in progress at the stop is recorded as observed so far.
-        run_lengths.append((p, run_len, run_fresh))
     state.proposer = p
     state.introduced = introduced
     state.post_first_output = post
     state.run_length = run_len
     state.run_fresh = run_fresh
-    return list(outputs), stats
+    return fired, h
+
+
+def step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepEvent:
+    """Perform exactly one proposal and resolve it, mutating the state.
+
+    Draw order is fixed for reproducibility: one uniform integer for the
+    proposed girl, then (for fresh proposals only) one uniform real for the
+    acceptance test against 1/k. A redundant proposal consumes just the
+    integer draw, is rejected, and leaves the proposer in place. With
+    amnesia off, the proposer draws uniformly among the girls he has not
+    tried, which changes no output distribution but makes every proposal
+    fresh; it is an error to step an exhausted proposer in that mode.
+    """
+    stats = state.stats
+    p = state.proposer
+    if not amnesia and len(state.proposed[p]) == state.n:
+        raise ValueError(f"proposer {p} has already tried every girl")
+    redundant_before = stats.redundant_proposals
+    emitted = len(stats.outputs)
+    _, h = _advance(state, rng, "cap", stats.t + 1, amnesia)
+    redundant = stats.redundant_proposals > redundant_before
+    output = stats.outputs[-1][0] if len(stats.outputs) > emitted else None
+    return StepEvent(stats.t, p, h, redundant, state.run_length == 0, output)
+
+
+def run(
+    n: int,
+    girl: int,
+    seed: int,
+    stop: str = "natural",
+    max_proposals: int | None = None,
+    amnesia: bool = True,
+    track_pairs: bool = True,
+    track_runs: bool = True,
+) -> tuple[list[tuple[int, int]], RunStats]:
+    """Run the chain from a fresh state until the stop rule fires.
+
+    stop is one of:
+      "natural"      the current proposer has tried every girl, which is
+                     where the deterministic search would terminate;
+      "cap"          exactly max_proposals proposals have been made;
+      "first_output" the first husband has just been emitted.
+
+    max_proposals is required for "cap" and acts as a safety limit for the
+    other rules when given. Returns (outputs, stats); outputs are
+    (boy, time) pairs.
+    """
+    if stop not in ("natural", "cap", "first_output"):
+        raise ValueError(f"unknown stop rule {stop!r}")
+    if stop == "cap":
+        if max_proposals is None or max_proposals < 1:
+            raise ValueError("stop='cap' requires max_proposals >= 1")
+    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    stats = state.stats
+    stats.stopped, _ = _advance(state, Rng(seed), stop, max_proposals, amnesia)
+    if stats.run_lengths is not None and state.run_length > 0:
+        # The run in progress at the stop is recorded as observed so far.
+        stats.run_lengths.append((state.proposer, state.run_length, state.run_fresh))
+    return list(stats.outputs), stats
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately naive (convolutions, direct summation,
-explicit recurrences) and shares no code with the implementations under
-test.
+explicit recurrences, one scalar proposal at a time) and shares no code
+with the implementations under test beyond their plain data types.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+from stablematch.random_model import ProcessState, StepEvent
+from stablematch.rng import Rng
 
 
 def bernoulli_sum_pmf(ps: list[float]) -> list[float]:
@@ -199,3 +202,81 @@ def rotation_chain_husbands(girl_prefs, boy_prefs, girl: int) -> list[int]:
             partners.append(husband[girl])
         unsettled = [b for b in unsettled if wife[b] != final_wife[b]]
     return partners
+
+
+def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepEvent:
+    """One proposal of the chain, written out scalar, the definition that
+    `random_model.step` and `random_model.run` are held to.
+
+    Draws only through `Rng.randrange` and `Rng.random`: one uniform integer
+    for the proposed girl, then (for fresh proposals only) one uniform real
+    for the acceptance test against 1/k. A redundant proposal consumes just
+    the integer draw, is rejected, and leaves the proposer in place. With
+    amnesia off, the proposer redraws until he hits a girl he has not tried.
+    """
+    n = state.n
+    stats = state.stats
+    p = state.proposer
+    tried = state.proposed[p]
+    if amnesia:
+        h = rng.randrange(n)
+    else:
+        if len(tried) == n:
+            raise ValueError(f"proposer {p} has already tried every girl")
+        while True:
+            h = rng.randrange(n)
+            if h not in tried:
+                break
+    stats.t += 1
+    t = stats.t
+    stats.proposals_per_girl[h] += 1
+    stats.proposals_per_boy[p] += 1
+    state.run_length += 1
+    if stats.pair_counts is not None:
+        pc = stats.pair_counts[p]
+        pc[h] = pc.get(h, 0) + 1
+    if h in tried:
+        stats.redundant_proposals += 1
+        return StepEvent(t, p, h, redundant=True, accepted=False)
+    tried.add(h)
+    k = state.offers[h] + 1
+    state.offers[h] = k
+    stats.nonredundant_per_girl[h] += 1
+    state.run_fresh += 1
+    if rng.random() * k >= 1.0:
+        return StepEvent(t, p, h, redundant=False, accepted=False)
+
+    # Accepted: the run ends and a new proposer is dispatched.
+    if stats.run_lengths is not None:
+        stats.run_lengths.append((p, state.run_length, state.run_fresh))
+    state.run_length = 0
+    state.run_fresh = 0
+    if h == state.girl:
+        stats.acceptances_by_girl += 1
+        if stats.first_output_time is None:
+            stats.pre_output_acceptances = stats.acceptances_by_girl
+    previous = state.best_offer[h]
+    state.best_offer[h] = p
+    output: int | None = None
+    if previous is None:
+        if state.introduced < n:
+            nxt = state.introduced
+            state.introduced += 1
+        else:
+            output = state.best_offer[state.girl]
+            assert output is not None
+            nxt = output
+    elif h == state.girl and state.post_first_output:
+        output = p
+        nxt = p
+    else:
+        nxt = previous
+    if output is not None:
+        stats.outputs.append((output, t))
+        if stats.first_output_time is None:
+            stats.first_output_time = t
+            stats.pre_output_acceptances = stats.acceptances_by_girl - 1
+            state.post_first_output = True
+    state.proposer = nxt
+    stats.runs_per_boy[nxt] += 1
+    return StepEvent(t, p, h, redundant=False, accepted=True, output=output)

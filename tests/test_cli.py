@@ -258,6 +258,63 @@ class TestExperiment:
         assert code == 2
 
 
+BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
+
+
+@pytest.mark.parametrize(
+    "config,extra",
+    [
+        (BASE_CONFIG, ["--param", 'c="x"']),
+        ({**BASE_CONFIG, "workers": "2"}, []),
+        ({**BASE_CONFIG, "girl": "0"}, []),
+        ({**BASE_CONFIG, "gate": {"median_range": 5}}, []),
+        ({**BASE_CONFIG, "kind": "equivalence", "gate": {"max_tv": "a"}}, []),
+        ({**BASE_CONFIG, "params": [1]}, []),
+        ({**BASE_CONFIG, "kind": "coupon", "n": [True, 8]}, []),
+        ({**BASE_CONFIG, "trials": True}, []),
+        ({**BASE_CONFIG, "master_seed": False}, []),
+        ({**BASE_CONFIG, "girl": True}, []),
+        ({**BASE_CONFIG, "workers": True}, []),
+        ({**BASE_CONFIG, "out_dir": 5}, []),
+        ({**BASE_CONFIG, "plot_data": "yes"}, []),
+        (
+            {"kind": "acceptance_dist", "n": 1, "trials": 2, "master_seed": 1,
+             "params": {"m": True}},
+            [],
+        ),
+    ],
+    ids=[
+        "param-c-string",
+        "workers-string",
+        "girl-string",
+        "gate-range-int",
+        "gate-max-tv-string",
+        "params-list",
+        "n-bool",
+        "trials-bool",
+        "master-seed-bool",
+        "girl-bool",
+        "workers-bool",
+        "out-dir-int",
+        "plot-data-string",
+        "m-bool",
+    ],
+)
+def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    if extra:
+        argv = ["experiment", "--kind", config["kind"], "--n", str(config["n"]),
+                "--trials", str(config["trials"]), "--seed",
+                str(config["master_seed"]), *extra]
+    else:
+        argv = ["experiment", "--config", str(cfg)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_console_entry_point(fixture_file):
     result = subprocess.run(
         [sys.executable, "-m", "stablematch.cli", "husbands",

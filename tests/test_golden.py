@@ -1,11 +1,16 @@
-"""Golden digests of seeded outputs, pinned before the chain's draws moved
-to block reads and before the free-boy counter in `stable_husbands`.
+"""Golden digests of seeded outputs.
+
+The `run` and `stable_husbands` digests were pinned before the chain's draws
+moved to block reads and before the free-boy counter in `stable_husbands`;
+the report and instance digests before the chain was folded into one kernel
+and the experiment kinds and gates became a table.
 
 A digest covers everything a call returns: for `run`, the outputs and every
 RunStats field; for `stable_husbands`, the husbands, every matching, the full
-trace and the counters. Any change to a draw, its order or its use changes a
-digest. Re-pin only in a change that means to alter seeded outputs, and say
-why.
+trace and the counters; for a campaign, its whole `report_json`, gate
+failure strings included. Any change to a draw, its order or its use changes
+a digest. Re-pin only in a change that means to alter seeded outputs, and
+say why.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 
 import pytest
 
+from stablematch.harness import ExperimentConfig, report_json, run_experiment
 from stablematch.instance import generate_uniform
 from stablematch.matching import stable_husbands
 from stablematch.random_model import run
@@ -127,3 +133,75 @@ def test_stable_husbands_digest(n, seed, girl, digest):
         ],
     }
     assert _digest(doc) == digest
+
+
+# One tiny campaign of each kind, each with a gate that fails on one key (or
+# one block of a size sweep) and passes on the other, so the failure strings
+# are pinned too: (id, config, failures expected, digest of report_json).
+REPORT_CASES = [
+    ("theorem_a",
+     {"kind": "theorem", "n": 8, "trials": 6, "master_seed": 3, "method": "a",
+      "gate": {"min_inside_fraction": 1.5, "median_range": [0, 10]}},
+     1,
+     "0a5c8771055f5ac073b5a7beaeff186ba45efd5e5bf94f05037522651fabcac7"),
+    ("theorem_b",
+     {"kind": "theorem", "n": 8, "trials": 6, "master_seed": 3, "method": "b",
+      "gate": {"min_inside_fraction": 0.5, "median_range": [3, 5]}},
+     1,
+     "c5ec2cb25a5ea59c423fb43324192eac89d8603e698be0af4a31fb881f0b802e"),
+    ("equivalence_w1",
+     {"kind": "equivalence", "n": [2, 3], "trials": 40, "master_seed": 5,
+      "workers": 1, "gate": {"max_tv": 0.06}},
+     1,
+     "e9c5300fe1a03d77a81a77525755b41a2434095e7375001925cc287ec725c26b"),
+    ("equivalence_w2",
+     {"kind": "equivalence", "n": [2, 3], "trials": 40, "master_seed": 5,
+      "workers": 2, "gate": {"max_tv": 0.06}},
+     1,
+     "e9c5300fe1a03d77a81a77525755b41a2434095e7375001925cc287ec725c26b"),
+    ("lemma_audit",
+     {"kind": "lemma_audit", "n": [8, 16], "trials": 3, "master_seed": 7,
+      "params": {"delta": 0.3}, "gate": {"min_all_pass_rate": 0.2}},
+     1,
+     "5ba600cc351bdeb2e995e76eb1f92418226f7307b57195acff7ae52e9d814cf4"),
+    ("coupon",
+     {"kind": "coupon", "n": 16, "trials": 5, "master_seed": 9,
+      "gate": {"max_mean_relative_error": 0.1, "min_window_fraction": 0.5}},
+     1,
+     "74fa29b33d07fa4dd9aee1a82f50840e0551ffacc7f231ad4e3ad362e81e1057"),
+    ("acceptance_dist",
+     {"kind": "acceptance_dist", "n": 1, "trials": 20, "master_seed": 11,
+      "params": {"m": 50, "eps": 0.5},
+      "gate": {"max_mean_error_stderr": 0.0, "tail_within_bound": True}},
+     1,
+     # Re-pinned once when the sampler moved from numpy PCG64 to SplitMix64
+     # blocks; the PCG64 report hashed to 9e81bf2f...d9e814cf4.
+     "e3b6d999dbf854e3ad25e734d305315344e662c44b88867b4b081a75cb18bd95"),
+]
+
+# (n, seed, digest of the preference rows)
+INSTANCE_CASES = [
+    (1, 51,
+     "13de47d28530c2a834838a80a1c7218afa913e0d37436b7d4b66da7a362f30fb"),
+    (5, 52,
+     "d2a43a956dadba4d7d36215683c60726c7114ae90abf33f7d21101f7138eab0c"),
+    (64, 53,
+     "a78b106eca57490e18900c2c1de9dd3b38c2d116c4f8a6728bf04b3c2b7b0062"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,failures,digest",
+    [case[1:] for case in REPORT_CASES],
+    ids=[case[0] for case in REPORT_CASES],
+)
+def test_report_digest(doc, failures, digest):
+    report, _ = run_experiment(ExperimentConfig.from_dict(doc))
+    assert len(report["gate_failures"]) == failures
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,seed,digest", INSTANCE_CASES)
+def test_generate_uniform_digest(n, seed, digest):
+    inst = generate_uniform(n, seed)
+    assert _digest([inst.girl_prefs, inst.boy_prefs]) == digest

@@ -17,6 +17,7 @@ from stablematch.harness import (
     ConfigError,
     ExperimentConfig,
     TrialResult,
+    _acceptance_limit,
     report_json,
     run_experiment,
     summarize,
@@ -25,7 +26,7 @@ from stablematch.harness import (
 )
 from stablematch.instance import generate_uniform
 from stablematch.oracle import enumerate_stable
-from stablematch.rng import derive_seed
+from stablematch.rng import Rng, derive_seed
 
 from collections import Counter
 
@@ -118,6 +119,21 @@ class TestConfigValidation:
         )
         assert config.kind == "coupon"
 
+    def test_bad_gate_key_rejected_before_any_trial(self):
+        with pytest.raises(ConfigError, match="gate keys"):
+            ExperimentConfig.from_dict(
+                {"kind": "coupon", "n": 4, "trials": 10**9, "master_seed": 1,
+                 "gate": {"max_tv": 0.1}}
+            )
+
+    def test_gate_may_name_one_of_its_keys(self):
+        for gate in ({"min_inside_fraction": 0.0}, {"median_range": [0, 100]}):
+            config = ExperimentConfig.from_dict(
+                {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1,
+                 "method": "b", "gate": gate}
+            )
+            assert run_experiment(config)[0]["gate_failures"] == []
+
     def test_bad_gate_key(self):
         config = ExperimentConfig(
             kind="coupon", n=4, trials=2, master_seed=1, gate={"max_tv": 0.1}
@@ -195,6 +211,30 @@ class TestOtherKinds:
         assert block["expected_mean"] == pytest.approx(harmonic(200))
         assert block["tail_frequency"] <= block["tail_bound"]["value"]
         assert len(rows) == 400
+
+    def test_acceptance_limits_are_the_float_rule(self):
+        # Below each limit the chain's float rule accepts, at it the rule
+        # rejects; the rule is monotone in u, so that pins every draw.
+        def accepts(u, k):
+            return (u >> 11) * 2.0**-53 * k < 1.0
+
+        for k in [*range(1, 3000), 2**20 + 1, 10**6 - 1, 2**53 - 1]:
+            limit = _acceptance_limit(k)
+            assert limit > 0 and accepts(limit - 1, k)
+            assert limit == 2**64 or not accepts(limit, k)
+
+    def test_acceptance_counts_match_scalar_draws(self):
+        # Each trial draws offer k's test from draw k - 1 of its seed's stream.
+        m, trials = 300, 200
+        config = ExperimentConfig(
+            kind="acceptance_dist", n=1, trials=trials, master_seed=5,
+            params={"m": m},
+        )
+        _, rows = run_experiment(config)
+        for row in rows:
+            rng = Rng(row.seed)
+            expected = sum(rng.random() * k < 1.0 for k in range(1, m + 1))
+            assert row.husband_count == expected
 
     def test_coupon_block(self):
         config = ExperimentConfig(kind="coupon", n=40, trials=60, master_seed=31)
@@ -326,22 +366,21 @@ for doc in [
     {"kind": "lemma_audit", "n": 16, "trials": 2, "master_seed": 1,
      "params": {"delta": 0.3}},
     {"kind": "coupon", "n": 16, "trials": 3, "master_seed": 1},
+    {"kind": "acceptance_dist", "n": 1, "trials": 3, "master_seed": 1,
+     "params": {"m": 10}},
 ]:
     run_experiment(ExperimentConfig.from_dict(doc))
 print("numpy" in sys.modules)
-run_experiment(ExperimentConfig.from_dict(
-    {"kind": "acceptance_dist", "n": 1, "trials": 3, "master_seed": 1,
-     "params": {"m": 10}}
-))
+import numpy
 print("numpy" in sys.modules)
 """
 
 
 def test_chain_campaigns_never_import_numpy():
     # Importing numpy adds 11 to 14 MB of peak resident memory and 55 to
-    # 75 ms of start-up, a large share of a chain campaign's peak RSS.
-    # acceptance_dist is its only user; the second line shows that the
-    # probe sees the import when it happens.
+    # 75 ms of start-up, a large share of a chain campaign's peak RSS. No
+    # kind uses it; the probe's explicit import at the end shows that it
+    # sees the import when one happens.
     src = str(Path(stablematch.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(

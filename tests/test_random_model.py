@@ -15,7 +15,7 @@ from stablematch.random_model import (
 )
 from stablematch.rng import Rng
 
-from oracles import tv_distance
+from oracles import reference_step, tv_distance
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -23,7 +23,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 def run_via_steps(n, girl, seed, steps, amnesia=True):
     state = new_state(n, girl)
     rng = Rng(seed)
-    events = [step(state, rng, amnesia=amnesia) for _ in range(steps)]
+    events = [reference_step(state, rng, amnesia=amnesia) for _ in range(steps)]
     return state, events
 
 
@@ -108,12 +108,20 @@ class TestTransitionProbabilities:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120))
-def test_conservation_after_every_step(n, seed, steps):
-    state = new_state(n, 0)
-    rng = Rng(seed)
+@given(
+    st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120), st.booleans()
+)
+def test_conservation_after_every_step(n, seed, steps, amnesia):
+    # Each step also equals the scalar reference step, event, state and
+    # stream alike.
+    state, twin = new_state(n, 0), new_state(n, 0)
+    rng, twin_rng = Rng(seed), Rng(seed)
     for _ in range(steps):
-        step(state, rng)
+        if not amnesia and len(state.proposed[state.proposer]) == n:
+            break
+        event = step(state, rng, amnesia=amnesia)
+        assert event == reference_step(twin, twin_rng, amnesia=amnesia)
+        assert state == twin and rng._state == twin_rng._state
         assert sum(state.stats.proposals_per_girl) == state.stats.t
         assert sum(state.stats.proposals_per_boy) == state.stats.t
         assert sum(state.stats.nonredundant_per_girl) == sum(
@@ -122,7 +130,8 @@ def test_conservation_after_every_step(n, seed, steps):
 
 
 def assert_run_matches_steps(outputs, fast, state):
-    """The fast loop's result agrees field by field with a step replay."""
+    """The fast loop's result agrees field by field with a reference step
+    replay."""
     slow = state.stats
     assert fast.t == slow.t
     assert fast.proposals_per_girl == slow.proposals_per_girl
@@ -242,7 +251,7 @@ class TestForcedRejection:
             if stop == "cap"
             else len(state.proposed[state.proposer]) < n
         ):
-            step(state, rng, amnesia=amnesia)
+            reference_step(state, rng, amnesia=amnesia)
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
         if amnesia:
