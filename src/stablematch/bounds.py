@@ -137,12 +137,14 @@ def tail_bound(pgf: Pgf, direction: str, r: float, x: float) -> TailBound:
     "lower" requires 0 < x <= 1 and bounds Pr(X <= r); "upper" requires
     x >= 1 and bounds Pr(X >= r).
     """
+    if not math.isfinite(r):
+        raise ValueError(f"threshold r must be finite, got {r}")
     if direction == "lower":
         if not 0.0 < x <= 1.0:
             raise ValueError(f"lower tail requires 0 < x <= 1, got {x}")
     elif direction == "upper":
-        if x < 1.0:
-            raise ValueError(f"upper tail requires x >= 1, got {x}")
+        if not 1.0 <= x < math.inf:
+            raise ValueError(f"upper tail requires finite x >= 1, got {x}")
     else:
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     log_value = eval_log(pgf, x) - r * math.log(x)
@@ -158,8 +160,8 @@ def optimize_tail(pgf: Pgf, direction: str, r: float) -> TailBound:
     family without derivatives. The returned bound is the best point
     actually probed, so it never exceeds the bound at any probed x.
     """
-    if r < 0:
-        raise ValueError(f"threshold r must be nonnegative, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"threshold r must be nonnegative and finite, got {r}")
 
     def objective(s: float) -> float:
         return eval_log(pgf, math.exp(s)) - r * s
@@ -280,12 +282,12 @@ def husband_count_envelope(
     combination to be achievable: (1 - epsilon) * delta > c and
     1 + epsilon < C. Each violated condition is named explicitly.
     """
-    if not n > 1:
-        raise ValueError(f"n must exceed 1 so ln n is positive, got {n}")
+    if not 1 < n < math.inf:
+        raise ValueError(f"n must be finite and exceed 1 so ln n is positive, got {n}")
     if not 0 < c < 0.5:
         raise ValueError(f"c must lie in (0, 1/2), got {c}")
-    if not C > 1:
-        raise ValueError(f"C must exceed 1, got {C}")
+    if not 1 < C < math.inf:
+        raise ValueError(f"C must be finite and exceed 1, got {C}")
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     if not epsilon > 0:

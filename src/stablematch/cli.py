@@ -29,11 +29,20 @@ def _emit(doc: object) -> None:
 
 
 def _load_matching(path: str, n: int) -> Matching:
+    """A matching file: a list of n husband entries, or an object holding
+    it under "husband_of"; each entry a boy index or null."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(doc, dict) and "husband_of" not in doc:
+        raise ValueError("matching document has no 'husband_of' list")
     rows = doc["husband_of"] if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"matching must list exactly {n} husband entries")
-    return Matching.from_husbands([None if b is None else int(b) for b in rows])
+    for g, b in enumerate(rows):
+        if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
+            raise ValueError(
+                f"husband_of[{g}] must be a boy index or null, got {json.dumps(b)}"
+            )
+    return Matching.from_husbands(rows)
 
 
 def _letters(inst: instance_mod.PreferenceInstance) -> bool:
@@ -101,6 +110,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.audit and args.delta is None:
         raise ConfigError("--audit requires --delta")
+    if args.audit and not 0 < args.delta < 0.5:
+        raise ConfigError(f"--audit requires --delta in (0, 1/2), got {args.delta}")
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     if args.cap is not None:
         stop, cap = "cap", args.cap
     elif args.first_output:

@@ -17,10 +17,10 @@ Five experiment kinds are supported:
                    expectation n*H_n.
 
 Per-trial seeds are derived arithmetically from (master seed, kind, n,
-trial), so a report depends only on the logical configuration, never on
-worker count or scheduling; trial rows are folded in index order. Report
-dictionaries contain no wall-clock values (per-trial timings go only to
-the CSV rows).
+stream, trial), so a report depends only on the logical configuration,
+never on worker count or scheduling; trial rows are folded in index order.
+Report dictionaries contain no wall-clock values (per-trial timings go only
+to the CSV rows).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from . import bounds as _bounds
 from .instance import generate_uniform
 from .matching import stable_husbands
 from .random_model import audit_window_stats, run as run_process
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, mix64
 
 CSV_COLUMNS = (
     "trial",
@@ -122,7 +122,9 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int, or a float that is neither NaN nor infinite (JSON documents
+    may spell both)."""
+    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -310,11 +312,17 @@ def _audit_trial(args: tuple) -> tuple[TrialResult, dict]:
     return _row(trial, seed, start, outputs, stats), report.to_dict()
 
 
-def _map_trials(worker, args_list: list, workers: int) -> list:
-    """Run trials across a pool; result order always follows trial order."""
+def _map_trials(
+    worker, args_list: list, workers: int, share: int | None = None
+) -> list:
+    """Run trials across a pool; result order always follows trial order.
+
+    Each task sent to a worker holds a quarter of a worker's share of
+    `share` trials (default: all of them).
+    """
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
-    chunk = max(1, len(args_list) // (workers * 4))
+    chunk = max(1, (share or len(args_list)) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list, chunksize=chunk))
 
@@ -343,11 +351,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
 
 
 def _trial_seeds(config: ExperimentConfig, n: int, stream: int = 0) -> list[int]:
-    kind_id = _KIND_IDS[config.kind]
-    return [
-        derive_seed(config.master_seed, kind_id, n, stream, trial)
-        for trial in range(config.trials)
-    ]
+    """derive_seed(master_seed, kind id, n, stream, trial) for each trial,
+    with the prefix common to the block folded once."""
+    prefix = derive_seed(config.master_seed, _KIND_IDS[config.kind], n, stream)
+    return [mix64(prefix ^ mix64(trial)) for trial in range(config.trials)]
 
 
 def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
@@ -381,8 +388,12 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list
     args_b = [
         (i + config.trials, s, n, config.girl, "b") for i, s in enumerate(seeds_b)
     ]
-    results_a = _map_trials(_husband_count_trial, args_a, config.workers)
-    results_b = _map_trials(_husband_count_trial, args_b, config.workers)
+    # Both samplers share one pool; tasks stay the size they had with a pool
+    # per sampler, which keeps the workers' peak memory down.
+    results = _map_trials(
+        _husband_count_trial, args_a + args_b, config.workers, config.trials
+    )
+    results_a, results_b = results[: config.trials], results[config.trials :]
     counts_a = Counter(r.husband_count for r in results_a)
     counts_b = Counter(r.husband_count for r in results_b)
     block = {
@@ -393,7 +404,7 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list
         "histogram_a": [[k, v] for k, v in sorted(counts_a.items())],
         "histogram_b": [[k, v] for k, v in sorted(counts_b.items())],
     }
-    return block, results_a + results_b
+    return block, results
 
 
 def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:

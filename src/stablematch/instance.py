@@ -52,8 +52,8 @@ class PreferenceInstance:
         girl_prefs: Sequence[Sequence[int]], boy_prefs: Sequence[Sequence[int]]
     ) -> "PreferenceInstance":
         """Build an instance from preference rows, deriving the rank tables."""
-        gp = tuple(tuple(row) for row in girl_prefs)
-        bp = tuple(tuple(row) for row in boy_prefs)
+        gp = tuple(map(tuple, girl_prefs))
+        bp = tuple(map(tuple, boy_prefs))
         n = len(gp)
         return PreferenceInstance(
             n=n, girl_prefs=gp, boy_prefs=bp, girl_rank=_ranks(gp), boy_rank=_ranks(bp)
@@ -75,19 +75,38 @@ def generate_uniform(n: int, seed: int) -> PreferenceInstance:
     """A uniformly random instance: 2n independent random permutation rows.
 
     Deterministic in (n, seed); rows come from one seeded stream via an
-    unbiased Fisher-Yates shuffle.
+    unbiased Fisher-Yates shuffle, girls' rows first. Each swap takes the
+    draw `Rng.randrange(i + 1)` would, rejection rule included, but the
+    draws are read from `Rng.block` in blocks of at most 2048, each no
+    larger than the number of draws still due, so the stream is never read
+    past the last draw it would give.
     """
     if n < 1:
         raise ValueError("instance size must be at least 1")
     rng = Rng(seed)
-    girl_prefs = []
-    boy_prefs = []
-    for rows in (girl_prefs, boy_prefs):
-        for _ in range(n):
-            row = list(range(n))
-            rng.shuffle(row)
-            rows.append(row)
-    return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)
+    # (slot i, modulus i + 1, randrange's rejection limit) of each swap.
+    swaps = [(i, i + 1, 2**64 - 2**64 % (i + 1)) for i in range(n - 1, 0, -1)]
+    due = 2 * n * (n - 1)
+    buf = ()
+    pos = end = 0
+    rows = []
+    for _ in range(2 * n):
+        row = list(range(n))
+        for i, m, limit in swaps:
+            while True:
+                if pos == end:
+                    end = min(due, 2048)
+                    buf = rng.block(end)
+                    pos = 0
+                u = buf[pos]
+                pos += 1
+                if u < limit:
+                    break
+            due -= 1
+            j = u % m
+            row[i], row[j] = row[j], row[i]
+        rows.append(row)
+    return PreferenceInstance.from_prefs(rows[:n], rows[n:])
 
 
 def fixture_4x4() -> PreferenceInstance:

@@ -135,16 +135,16 @@ def new_state(
         raise ValueError("process size must be at least 1")
     if not 0 <= girl < n:
         raise ValueError(f"designated girl {girl} out of range for n={n}")
-    stats = RunStats(n=n, girl=girl)
-    stats.proposals_per_girl = [0] * n
-    stats.nonredundant_per_girl = [0] * n
-    stats.proposals_per_boy = [0] * n
-    stats.runs_per_boy = [0] * n
-    stats.runs_per_boy[0] = 1
-    if track_runs:
-        stats.run_lengths = []
-    if track_pairs:
-        stats.pair_counts = [dict() for _ in range(n)]
+    stats = RunStats(
+        n=n,
+        girl=girl,
+        proposals_per_girl=[0] * n,
+        nonredundant_per_girl=[0] * n,
+        proposals_per_boy=[0] * n,
+        runs_per_boy=[1] + [0] * (n - 1),
+        run_lengths=[] if track_runs else None,
+        pair_counts=[dict() for _ in range(n)] if track_pairs else None,
+    )
     return ProcessState(
         n=n,
         girl=girl,
@@ -190,7 +190,7 @@ def _advance(
     rng_block = rng.block
     # Rng.randrange's rejection limit: draws at or above it are redrawn.
     limit = 2**64 - 2**64 % n
-    buf = rng_block(0)
+    buf = ()
     pos = end = 0
     size = 8
 

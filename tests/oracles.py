@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from stablematch.instance import PreferenceInstance
 from stablematch.random_model import ProcessState, StepEvent
 from stablematch.rng import Rng
 
@@ -280,3 +281,39 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
     state.proposer = nxt
     stats.runs_per_boy[nxt] += 1
     return StepEvent(t, p, h, redundant=False, accepted=True, output=output)
+
+
+def reference_generate_uniform(n: int, rng: Rng) -> PreferenceInstance:
+    """A uniform instance drawn scalar from `rng`, the definition that
+    `instance.generate_uniform` is held to: girls' rows, then boys' rows,
+    each `range(n)` put through `Rng.shuffle`, which draws one
+    `Rng.randrange(i + 1)` for i = n - 1 down to 1.
+    """
+    if n < 1:
+        raise ValueError("instance size must be at least 1")
+    girl_prefs = []
+    boy_prefs = []
+    for rows in (girl_prefs, boy_prefs):
+        for _ in range(n):
+            row = list(range(n))
+            rng.shuffle(row)
+            rows.append(row)
+    return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer: undo each xor-shift and each
+    multiplication by an odd constant, mod 2**64, in reverse order."""
+    mask = 2**64 - 1
+    z ^= z >> 31 ^ z >> 62
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    z ^= z >> 30 ^ z >> 60
+    return z
+
+
+def seed_with_top_draw(j: int) -> int:
+    """A seed whose draw number j (0-based) is 2**64 - 1, the one value
+    `Rng.randrange` rejects for every modulus that is not a power of two."""
+    return (_unmix64(2**64 - 1) - (j + 1) * 0x9E3779B97F4A7C15) % 2**64

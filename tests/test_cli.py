@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stablematch.cli import main
+from stablematch.harness import KINDS
 from stablematch.instance import fixture_4x4, save
 
 
@@ -79,6 +81,28 @@ class TestCheck:
         assert code == 0
         assert doc
         assert {"girl": 0, "boy": 3} in doc
+
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ([[1], 0, 2, 3], "husband_of[0]"),
+            ([0.5, 1, 2, 3], "husband_of[0]"),
+            ([True, 0, 2, 3], "husband_of[0]"),
+            ({"husband_of": [3, 0, "2", 1]}, "husband_of[2]"),
+            ({}, "no 'husband_of'"),
+        ],
+        ids=["list-entry", "float-entry", "bool-entry", "string-entry", "no-key"],
+    )
+    def test_malformed_matching_is_a_named_error(
+        self, capsys, fixture_file, tmp_path, doc, named
+    ):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        code = main(["check", "--instance", fixture_file, "--matching", str(mpath)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
 
 
 def test_enumerate(capsys, fixture_file):
@@ -324,3 +348,196 @@ def test_console_entry_point(fixture_file):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["husbands"] == [0]
+
+
+# Tokens that are not what an option expects, or are at its edge.
+ODD = ["nan", "inf", "-inf", "1e400", "x", "", "-1", "0", "0.5", "[1]", "true"]
+
+
+def _ints(lo: int, hi: int):
+    """An integer option value, odd one time in four."""
+    good = st.integers(lo, hi).map(str)
+    return st.one_of(good, good, good, st.sampled_from(ODD))
+
+
+def _floats():
+    """A number option value, odd one time in four."""
+    good = st.floats(-3, 3).map(repr)
+    return st.one_of(good, good, good, st.sampled_from(ODD))
+
+
+def _opt(flag: str, values):
+    """Either nothing or [flag, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), 1e300])
+    | st.text("abcx", max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abcx", max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+# Worker counts stay at most 1 so that no example starts a process pool.
+CONFIG = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from([*KINDS, "nope", "THEOREM"]) | JSON,
+        "n": st.integers(0, 4) | st.lists(st.integers(0, 4), max_size=3) | JSON,
+        "trials": st.integers(0, 3) | JSON,
+        "master_seed": st.integers(-(2**65), 2**65) | JSON,
+    },
+    optional={
+        "girl": st.integers(-1, 4) | JSON,
+        "method": st.sampled_from(["a", "b", "c"]) | JSON,
+        "params": st.dictionaries(
+            st.sampled_from(["c", "C", "delta", "eps", "m", "q"]),
+            st.integers(-1, 6) | st.floats(-3, 3) | JSON,
+            max_size=4,
+        )
+        | JSON,
+        "gate": st.dictionaries(
+            st.sampled_from(
+                ["max_tv", "median_range", "min_inside_fraction",
+                 "tail_within_bound", "min_all_pass_rate", "q"]
+            ),
+            st.floats(-1, 2) | st.lists(st.integers(0, 9), max_size=3) | JSON,
+            max_size=2,
+        )
+        | JSON,
+        "workers": st.sampled_from([1, 0, -1, "2", True, None, 1.5]),
+        "plot_data": JSON,
+        "x": JSON,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Input files for generated command lines: a good instance, a good
+    matching, a file that is not JSON, and one JSON value of the wrong
+    shape. Command lines name them as "@inst.json" and so on."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    save(fixture_4x4(), root / "inst.json")
+    (root / "match.json").write_text("[3, 0, 1, 2]")
+    (root / "garbage.json").write_text("{not json")
+    (root / "shape.json").write_text('{"n": 2, "girl_prefs": [[0, 1]]}')
+    return root
+
+
+INPUTS = st.sampled_from(
+    ["@inst.json", "@match.json", "@garbage.json", "@shape.json", "@missing.json"]
+)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for `main`: a subcommand with some of its options, each
+    value either well formed or odd. "@config.json" stands for a file
+    holding the generated config, the second item of the result."""
+    command = draw(st.sampled_from(
+        ["husbands", "check", "enumerate", "simulate", "bounds", "envelope",
+         "experiment", "nope"]
+    ))
+    argv = [command]
+    config = None
+    if command in ("husbands", "check", "enumerate"):
+        argv += draw(_opt("--instance", INPUTS))
+    if command == "husbands":
+        argv += draw(_opt("--girl", _ints(-1, 4)))
+        argv += draw(st.sampled_from([[], ["--trace"]]))
+    if command == "check":
+        argv += draw(_opt("--matching", INPUTS))
+    if command == "simulate":
+        argv += draw(_opt("--n", _ints(-1, 4)))
+        argv += draw(_opt("--girl", _ints(-1, 4)))
+        argv += draw(_opt("--seed", _ints(-5, 5)))
+        argv += draw(st.one_of(
+            st.just([]),
+            st.just(["--natural"]),
+            st.just(["--first-output"]),
+            _ints(-1, 60).map(lambda v: ["--cap", v]),
+        ))
+        argv += draw(_opt("--delta", _floats()))
+        argv += draw(st.sampled_from([[], ["--audit"]]))
+    if command == "bounds":
+        family = draw(st.sampled_from(["binom", "accept", "poisson"]))
+        argv += ["--pgf", family, *draw(st.lists(_ints(-1, 40), min_size=1, max_size=3))]
+        argv += draw(_opt("--tail", st.sampled_from(["lower", "upper", "x"])))
+        argv += draw(_opt("--r", _floats()))
+        argv += draw(_opt("--x", _floats()))
+        argv += draw(st.sampled_from([[], ["--optimize"]]))
+    if command == "envelope":
+        for flag in ("--n", "--c", "--C", "--delta", "--eps"):
+            argv += draw(_opt(flag, _floats()))
+    if command == "experiment":
+        if draw(st.booleans()):
+            config = draw(CONFIG)
+            argv += ["--config", "@config.json"]
+        else:
+            argv += draw(_opt("--kind", st.sampled_from([*KINDS, "nope"])))
+            argv += draw(_opt("--n", _ints(0, 4)))
+            argv += draw(_opt("--trials", _ints(0, 3)))
+            argv += draw(_opt("--seed", _ints(-5, 5)))
+            argv += draw(_opt("--method", st.sampled_from(["a", "b", "c"])))
+            for _ in range(draw(st.integers(0, 2))):
+                key = draw(st.sampled_from(["c", "C", "delta", "eps", "m", "q="]))
+                value = draw(st.sampled_from(["0.3", "2", "1", "1e400", "x", '"x"']))
+                argv += ["--param", f"{key}={value}"]
+        argv += draw(_opt("--workers", st.sampled_from(["1", "0", "-1", "x"])))
+        argv += draw(_opt("--out", st.sampled_from(["@out", "@garbage.json/out"])))
+        argv += draw(st.sampled_from([[], ["--plot-data"]]))
+    return argv, config
+
+
+def run_generated(root, argv: list[str], config) -> int:
+    """main's exit status for a generated command line, an argparse usage
+    error counting as its exit status 2."""
+    if config is not None:
+        (root / "config.json").write_text(json.dumps(config))
+    argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command_lines())
+# Tracebacks or NaN/Infinity output the generated command lines found.
+@example((["simulate", "--n", "4", "--seed", "0", "--delta", "inf", "--audit"], None))
+@example((["simulate", "--n", "0", "--seed", "0", "--delta", "-1.5", "--audit"], None))
+@example((["simulate", "--n", "-1", "--seed", "0", "--delta", "-1.5", "--audit"], None))
+@example((["bounds", "--pgf", "accept", "5", "--tail", "upper", "--r", "nan",
+           "--optimize"], None))
+@example((["bounds", "--pgf", "accept", "5", "--tail", "upper", "--r", "1",
+           "--x", "inf"], None))
+@example((["envelope", "--n", "inf", "--c", "0.3", "--C", "2", "--delta", "0.45",
+           "--eps", "0.05"], None))
+@example((["experiment", "--kind", "acceptance_dist", "--n", "1", "--trials", "2",
+           "--seed", "1", "--param", "m=3", "--param", "eps=1e400"], None))
+@example((["experiment", "--config", "@config.json"],
+          {"kind": "equivalence", "n": 2, "trials": 2, "master_seed": 1,
+           "gate": {"max_tv": float("nan")}}))
+def test_cli_never_raises(capsys, files, case):
+    # Any command line ends in exit 0 or 1 (a gate failed) with strict JSON
+    # on stdout, NaN and Infinity excluded, or in exit 2 with the fault
+    # named on stderr; never in an exception.
+    code = run_generated(files, *case)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.err.startswith(("error: ", "usage: "))
+    else:
+        json.loads(captured.out, parse_constant=_no_constant)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")

@@ -3,7 +3,8 @@
 The `run` and `stable_husbands` digests were pinned before the chain's draws
 moved to block reads and before the free-boy counter in `stable_husbands`;
 the report and instance digests before the chain was folded into one kernel
-and the experiment kinds and gates became a table.
+and the experiment kinds and gates became a table; the instance digests at
+n = 2, 3 and 1024 before `generate_uniform` moved to block reads.
 
 A digest covers everything a call returns: for `run`, the outputs and every
 RunStats field; for `stable_husbands`, the husbands, every matching, the full
@@ -183,10 +184,16 @@ REPORT_CASES = [
 INSTANCE_CASES = [
     (1, 51,
      "13de47d28530c2a834838a80a1c7218afa913e0d37436b7d4b66da7a362f30fb"),
+    (2, 54,
+     "4f70d2c91cf665c10b1576afa2170ddfa425039a7b3b4f6d6eaf5696b8732296"),
+    (3, 55,
+     "99e18d3b2d1d196e71bd876a7425a20244762760eba692a7ce4de33f7e62f3c6"),
     (5, 52,
      "d2a43a956dadba4d7d36215683c60726c7114ae90abf33f7d21101f7138eab0c"),
     (64, 53,
      "a78b106eca57490e18900c2c1de9dd3b38c2d116c4f8a6728bf04b3c2b7b0062"),
+    (1024, 56,
+     "b63728a01d88c5b1735c1cf2c663fab48ab838f728cf36ce4310d04ac28eb0b2"),
 ]
 
 

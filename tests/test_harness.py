@@ -9,15 +9,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import stablematch
 
+from stablematch import harness
 from stablematch.bounds import harmonic
 from stablematch.harness import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     TrialResult,
     _acceptance_limit,
+    _trial_seeds,
     report_json,
     run_experiment,
     summarize,
@@ -347,6 +351,40 @@ def test_trial_seed_derivation_is_arithmetic():
     assert [r.seed for r in rows] == [
         derive_seed(99, 5, 20, 0, i) for i in range(3)
     ]
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.integers(-(2**70), 2**70),
+    st.integers(1, 2**20),
+    st.integers(0, 1),
+    st.integers(1, 40),
+)
+def test_trial_seeds_are_the_full_path(kind, master, n, stream, trials):
+    # The prefix (master, kind, n, stream) is folded once per block; each
+    # trial adds one fold, which must give derive_seed's full path.
+    config = ExperimentConfig(kind=kind, n=n, trials=trials, master_seed=master)
+    kind_id = KINDS.index(kind) + 1
+    assert _trial_seeds(config, n, stream) == [
+        derive_seed(master, kind_id, n, stream, trial) for trial in range(trials)
+    ]
+
+
+def test_equivalence_campaign_starts_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    doc = {"kind": "equivalence", "n": 3, "trials": 20, "master_seed": 4}
+    report_2, rows = run_experiment(ExperimentConfig.from_dict({**doc, "workers": 2}))
+    assert pools == [2]
+    assert [r.trial for r in rows] == list(range(40))
+    report_1, _ = run_experiment(ExperimentConfig.from_dict(doc))
+    assert report_json(report_2) == report_json(report_1)
 
 
 def test_trial_result_row_shape():

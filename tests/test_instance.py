@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablematch import instance as instance_mod
 from stablematch.instance import (
     InstanceLoadError,
     PreferenceInstance,
@@ -17,6 +18,9 @@ from stablematch.instance import (
     save,
     validate,
 )
+from stablematch.rng import Rng
+
+from oracles import reference_generate_uniform, seed_with_top_draw
 
 
 @st.composite
@@ -90,6 +94,66 @@ class TestGenerate:
         assert worst <= 5 * sigma, f"worst cell deviation {worst}"
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 172.418, f"chi-square {chi2}"
+
+
+def _generate_keeping_stream(n: int, seed: int):
+    """generate_uniform(n, seed) and the one stream it created."""
+    streams: list[Rng] = []
+
+    def keep(s: int) -> Rng:
+        streams.append(Rng(s))
+        return streams[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance_mod, "Rng", keep)
+        inst = generate_uniform(n, seed)
+    assert len(streams) == 1
+    return inst, streams[0]
+
+
+def _assert_matches_reference(n: int, seed: int) -> Rng:
+    """Check rows and final stream state against the scalar reference;
+    returns generate_uniform's stream."""
+    inst, stream = _generate_keeping_stream(n, seed)
+    rng = Rng(seed)
+    assert inst == reference_generate_uniform(n, rng)
+    assert stream._state == rng._state
+    return stream
+
+
+class TestBlockDraws:
+    """generate_uniform reads its draws in blocks; rows and the stream's
+    final state must equal the scalar reference's, rejections included."""
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 40), st.integers(0, 2**64 - 1))
+    def test_equals_scalar_reference(self, n, seed):
+        _assert_matches_reference(n, seed)
+
+    @pytest.mark.parametrize(
+        "n,j",
+        [
+            # At n = 3 each row takes randrange(3) then randrange(2), and
+            # randrange(3) rejects only 2**64 - 1: draw 0 is the first draw,
+            # draw 4 the first of the third row, and draw 10 the first of
+            # the last row, whose redraw lies past the 12 draws an instance
+            # takes without rejection.
+            (3, 0),
+            (3, 4),
+            (3, 10),
+            # At n = 34 draw 2047, the last of the first 2048-draw block, is
+            # a randrange(33), so its redraw comes from the next block.
+            (34, 2047),
+        ],
+    )
+    def test_forced_rejection(self, n, j):
+        seed = seed_with_top_draw(j)
+        probe = Rng(seed)
+        assert [probe.next_u64() for _ in range(j + 1)][-1] == 2**64 - 1
+        stream = _assert_matches_reference(n, seed)
+        # One draw more than 2n(n - 1): the rejected one.
+        draws = 2 * n * (n - 1) + 1
+        assert stream._state == (seed + draws * 0x9E3779B97F4A7C15) % 2**64
 
 
 class TestValidate:

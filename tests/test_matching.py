@@ -19,7 +19,7 @@ from stablematch.oracle import (
 )
 from stablematch.rng import derive_seed
 
-from oracles import rotation_chain_husbands, serial_dictatorship
+from oracles import deferred_acceptance, rotation_chain_husbands, serial_dictatorship
 
 # Letter mapping for the 4x4 example: girls ABCD = 0..3, boys WXYZ = 0..3.
 A, B, C, D = range(4)
@@ -265,3 +265,22 @@ def test_agreement_with_rotation_oracle_past_brute_force(n, instances_per_n):
         for g in (0, n - 1):
             expected = rotation_chain_husbands(inst.girl_prefs, inst.boy_prefs, g)
             assert stable_husbands(inst, g).husbands == expected, (n, i, g)
+
+
+@pytest.mark.parametrize("n, instances_per_n", [(64, 20), (256, 6)])
+def test_exact_checks_past_brute_force(n, instances_per_n):
+    # Checks that hold at any size: every emitted matching is perfect and
+    # stable, the first is the boy-optimal matching, and the girl's last
+    # husband is her partner in the girl-optimal matching, found by
+    # girl-proposing deferred acceptance.
+    for i in range(instances_per_n):
+        inst = generate_uniform(n, derive_seed(20260808, 206, n, i))
+        girl_optimal = deferred_acceptance(inst.girl_prefs, inst.boy_prefs)
+        for g in (0, n // 2, n - 1):
+            enum = stable_husbands(inst, g)
+            assert enum.matchings[0] == gale_shapley_boys_propose(inst)
+            assert enum.husbands[0] == enum.matchings[0].husband_of[g]
+            assert enum.husbands[-1] == girl_optimal[g], (n, i, g)
+            for m in enum.matchings:
+                assert m.complete and m.consistent()
+                assert find_blocking_pairs(inst, m) == [], (n, i, g)

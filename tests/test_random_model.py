@@ -15,7 +15,7 @@ from stablematch.random_model import (
 )
 from stablematch.rng import Rng
 
-from oracles import reference_step, tv_distance
+from oracles import reference_step, seed_with_top_draw, tv_distance
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -202,23 +202,6 @@ def test_stream_ends_where_the_scalar_draws_would(monkeypatch, n, seed, stop, ca
     assert streams[0]._state == (seed + (stats.t + fresh) * GOLDEN) % 2**64
 
 
-def _unmix64(z: int) -> int:
-    """Inverse of the SplitMix64 finalizer: undo each xor-shift and each
-    multiplication by an odd constant, mod 2**64, in reverse order."""
-    mask = 2**64 - 1
-    z ^= z >> 31 ^ z >> 62
-    z = z * pow(0x94D049BB133111EB, -1, 2**64) & mask
-    z ^= z >> 27 ^ z >> 54
-    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
-    z ^= z >> 30 ^ z >> 60
-    return z
-
-
-def _seed_with_top_draw(j: int) -> int:
-    """A seed whose draw number j (0-based) is 2**64 - 1."""
-    return (_unmix64(2**64 - 1) - (j + 1) * GOLDEN) % 2**64
-
-
 class TestForcedRejection:
     """At n = 3, randrange rejects exactly one value, 2**64 - 1, so these
     seeds force the rejection branch: on the first draw, on the first draw
@@ -236,7 +219,7 @@ class TestForcedRejection:
     )
     def test_run_equals_step_replay(self, monkeypatch, j, stop, cap, amnesia):
         n = 3
-        seed = _seed_with_top_draw(j)
+        seed = seed_with_top_draw(j)
         probe = Rng(seed)
         assert [probe.next_u64() for _ in range(j + 1)][-1] == 2**64 - 1
         streams = _keep_streams(monkeypatch)
