@@ -34,12 +34,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import lt
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bounds as _bounds
 from .instance import generate_uniform
 from .matching import stable_husbands
-from .random_model import audit_window_stats, run as run_process
+from .random_model import _acceptance_limit, audit_window_stats, run as run_process
 from .rng import Rng, derive_seed, mix64
 
 CSV_COLUMNS = (
@@ -203,8 +203,10 @@ def _params(config: ExperimentConfig) -> dict:
     return {**_KINDS[config.kind].params, **config.params}
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
+    """One trial's row of trials.csv; a tuple, cheap to build and to send
+    back from a worker."""
+
     trial: int
     seed: int
     husband_count: int
@@ -442,17 +444,6 @@ def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
         "first_report": reports[0],
     }
     return block, results
-
-
-def _acceptance_limit(k: int) -> int:
-    """The draw bound for offer k: a 64-bit draw u accepts offer k exactly
-    when u < _acceptance_limit(k).
-
-    That is the chain's rule, (u >> 11) * 2.0**-53 * k < 1.0. Below 1 the
-    product is an integer under 2**53 times 2**-53, so no rounding occurs
-    and the rule holds exactly when (u >> 11) * k < 2**53.
-    """
-    return -(-(2**53) // k) << 11
 
 
 def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .rng import Rng
 
@@ -77,15 +78,20 @@ class RunStats:
 class ProcessState:
     """Live state of the chain, one proposer active at a time.
 
-    proposed[b] is the set of girls boy b has tried; best_offer[j] the boy
+    proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
+    == 1 once he has proposed to girl j, and ntried[b] the number of girls
+    he has tried (the count of ones in his row); best_offer[j] the boy
     holding girl j's best offer so far (None before her first fresh
     proposal); offers[j] her count of fresh proposals. introduced counts
-    boys who have entered the game.
+    boys who have entered the game. run_length and run_fresh count the
+    proposals, and the fresh ones among them, of the proposer's run in
+    progress.
     """
 
     n: int
     girl: int
-    proposed: list[set[int]]
+    proposed: list[bytearray]
+    ntried: list[int]
     introduced: int
     proposer: int
     best_offer: list[int | None]
@@ -103,7 +109,8 @@ class ProcessState:
         return ProcessState(
             n=self.n,
             girl=self.girl,
-            proposed=[set(s) for s in self.proposed],
+            proposed=[bytearray(row) for row in self.proposed],
+            ntried=list(self.ntried),
             introduced=self.introduced,
             proposer=self.proposer,
             best_offer=list(self.best_offer),
@@ -148,7 +155,8 @@ def new_state(
     return ProcessState(
         n=n,
         girl=girl,
-        proposed=[set() for _ in range(n)],
+        proposed=[bytearray(n) for _ in range(n)],
+        ntried=[0] * n,
         introduced=1,
         proposer=0,
         best_offer=[None] * n,
@@ -160,6 +168,24 @@ def new_state(
     )
 
 
+def _acceptance_limit(k: int) -> int:
+    """The draw bound for offer k: a 64-bit draw u accepts offer k exactly
+    when u < _acceptance_limit(k).
+
+    That is the chain's rule, (u >> 11) * 2.0**-53 * k < 1.0. Below 1 the
+    product is an integer under 2**53 times 2**-53, so no rounding occurs
+    and the rule holds exactly when (u >> 11) * k < 2**53.
+    """
+    return -(-(2**53) // k) << 11
+
+
+@lru_cache(maxsize=16)
+def _acceptance_limits(n: int) -> tuple[int, ...]:
+    """_acceptance_limit(k) at index k, for every offer count k a girl of an
+    n x n chain can reach (index 0 is unused)."""
+    return (0, *map(_acceptance_limit, range(1, n + 1)))
+
+
 def _advance(
     state: ProcessState, rng: Rng, stop: str, cap: int | None, amnesia: bool
 ) -> tuple[str, int | None]:
@@ -169,15 +195,23 @@ def _advance(
     stop is a stop rule of `run`; cap is the proposal count where "cap"
     fires, and a safety limit for the other rules. The state is loaded into
     locals and written back at the end. Draws come from `Rng.block`, with
-    `randrange`'s rejection rule and `random`'s float, so each is the draw
-    those calls would take. Blocks start at 8 draws and double up to 2048,
-    so short runs never compute a large block, and unread draws are handed
-    back to the stream. Returns the stop that fired and the girl of the last
-    proposal (None if none was made).
+    `randrange`'s rejection rule and `random`'s float (as the integer bound
+    `_acceptance_limit`), so each is the draw those calls would take. Blocks
+    start small and double up to 2048, so short runs never compute a large
+    block, and unread draws are handed back to the stream. Returns the stop
+    that fired and the girl of the last proposal (None if none was made).
+
+    The stop rules are checked in a fixed order (natural, then cap, then an
+    exhausted proposer with amnesia off), but only where one can newly
+    hold: the tried-row checks when the proposer or his tried count
+    changes, the cap after every proposal. A run's proposal count is added
+    to its boy once, at the run's end or at the exit, as t minus the run's
+    start.
     """
     n = state.n
     stats = state.stats
     proposed = state.proposed
+    ntried = state.ntried
     best_offer = state.best_offer
     offers = state.offers
     per_girl = stats.proposals_per_girl
@@ -188,18 +222,28 @@ def _advance(
     pair_counts = stats.pair_counts
     outputs = stats.outputs
     rng_block = rng.block
+    accept = _acceptance_limits(n)
     # Rng.randrange's rejection limit: draws at or above it are redrawn.
     limit = 2**64 - 2**64 % n
-    buf = ()
-    pos = end = 0
-    size = 8
+    # Past any reachable proposal count, so the cap check needs no None test.
+    if cap is None:
+        cap = 2**64
+    # The first block is sized from n (a natural run at n = 3 reads about
+    # 17 draws) and from the proposals left before the cap (so `step`
+    # computes no more than 8); blocks then double up to 2048.
+    size = min(8 * n, 8 * (cap - stats.t), 2048)
+    it = iter(())
 
     t = stats.t
     p = state.proposer
+    tried = proposed[p]
+    count = ntried[p]
     introduced = state.introduced
     post = state.post_first_output
-    run_len = state.run_length
-    run_fresh = state.run_fresh
+    run_start = t - state.run_length
+    fresh_start = count - state.run_fresh
+    # The run in progress is counted whole when it ends or at the exit.
+    per_boy[p] -= state.run_length
     redundant_total = stats.redundant_proposals
     accepts_by_g = stats.acceptances_by_girl
     g = state.girl
@@ -207,60 +251,64 @@ def _advance(
     h = None
 
     while True:
-        tried = proposed[p]
-        if natural and len(tried) == n:
+        # Here the proposer or his tried count has changed, or a block ran
+        # out, or a redundant proposal reached the cap.
+        if natural and count == n:
             fired = "natural"
             break
-        if cap is not None and t >= cap:
+        if t >= cap:
             if stop == "cap":
                 fired = "cap"
                 break
             raise RuntimeError(
                 f"safety limit of {cap} proposals reached before stop rule {stop!r}"
             )
-        if not amnesia and len(tried) == n:
+        if not amnesia and count == n:
             fired = "natural"
             break
-        while True:
-            if pos == end:
-                buf = rng_block(size)
-                pos, end = 0, size
-                if size < 2048:
-                    size += size
-            u = buf[pos]
-            pos += 1
+        # Draw until a fresh proposal; with amnesia, redundant ones are
+        # proposals too, each rejected, and each may reach the cap.
+        for u in it:
             if u < limit:
                 h = u % n
-                if amnesia or h not in tried:
+                if not tried[h]:
                     break
+                if amnesia:
+                    t += 1
+                    per_girl[h] += 1
+                    if pair_counts is not None:
+                        pc = pair_counts[p]
+                        pc[h] = pc.get(h, 0) + 1
+                    redundant_total += 1
+                    if t >= cap:
+                        break
+        else:
+            it = iter(rng_block(size).tolist())
+            size = min(size + size, 2048)
+            continue
+        if tried[h]:
+            continue  # the cap, reached on a redundant proposal
         t += 1
         per_girl[h] += 1
-        per_boy[p] += 1
-        run_len += 1
         if pair_counts is not None:
             pc = pair_counts[p]
             pc[h] = pc.get(h, 0) + 1
-        if h in tried:
-            redundant_total += 1
-            continue
-        tried.add(h)
+        tried[h] = 1
+        count += 1
         k = offers[h] + 1
         offers[h] = k
         fresh_per_girl[h] += 1
-        run_fresh += 1
-        if pos == end:
-            buf = rng_block(size)
-            pos, end = 0, size
-            if size < 2048:
-                size += size
-        u = buf[pos]
-        pos += 1
-        if (u >> 11) * 2.0**-53 * k >= 1.0:
+        u = next(it, None)
+        if u is None:
+            it = iter(rng_block(size).tolist())
+            size = min(size + size, 2048)
+            u = next(it)
+        if u >= accept[k]:
             continue
+        per_boy[p] += t - run_start
         if run_lengths is not None:
-            run_lengths.append((p, run_len, run_fresh))
-        run_len = 0
-        run_fresh = 0
+            run_lengths.append((p, t - run_start, count - fresh_start))
+        run_start = t
         if h == g:
             accepts_by_g += 1
         previous = best_offer[h]
@@ -284,13 +332,18 @@ def _advance(
                 stats.first_output_time = t
                 stats.pre_output_acceptances = accepts_by_g - 1
                 post = True
+        ntried[p] = count
         p = nxt
+        tried = proposed[p]
+        count = fresh_start = ntried[p]
         runs_per_boy[p] += 1
         if stop == "first_output" and emitted is not None:
             fired = "first_output"
             break
 
-    rng.unread(end - pos)
+    rng.unread(it.__length_hint__())
+    per_boy[p] += t - run_start
+    ntried[p] = count
     stats.t = t
     stats.redundant_proposals = redundant_total
     stats.acceptances_by_girl = accepts_by_g
@@ -299,8 +352,8 @@ def _advance(
     state.proposer = p
     state.introduced = introduced
     state.post_first_output = post
-    state.run_length = run_len
-    state.run_fresh = run_fresh
+    state.run_length = t - run_start
+    state.run_fresh = count - fresh_start
     return fired, h
 
 
@@ -317,7 +370,7 @@ def step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepEvent:
     """
     stats = state.stats
     p = state.proposer
-    if not amnesia and len(state.proposed[p]) == state.n:
+    if not amnesia and state.ntried[p] == state.n:
         raise ValueError(f"proposer {p} has already tried every girl")
     redundant_before = stats.redundant_proposals
     emitted = len(stats.outputs)

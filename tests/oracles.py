@@ -222,11 +222,11 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
     if amnesia:
         h = rng.randrange(n)
     else:
-        if len(tried) == n:
+        if state.ntried[p] == n:
             raise ValueError(f"proposer {p} has already tried every girl")
         while True:
             h = rng.randrange(n)
-            if h not in tried:
+            if not tried[h]:
                 break
     stats.t += 1
     t = stats.t
@@ -236,10 +236,11 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
     if stats.pair_counts is not None:
         pc = stats.pair_counts[p]
         pc[h] = pc.get(h, 0) + 1
-    if h in tried:
+    if tried[h]:
         stats.redundant_proposals += 1
         return StepEvent(t, p, h, redundant=True, accepted=False)
-    tried.add(h)
+    tried[h] = 1
+    state.ntried[p] += 1
     k = state.offers[h] + 1
     state.offers[h] = k
     stats.nonredundant_per_girl[h] += 1
@@ -281,6 +282,38 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
     state.proposer = nxt
     stats.runs_per_boy[nxt] += 1
     return StepEvent(t, p, h, redundant=False, accepted=True, output=output)
+
+
+def reference_run(
+    state: ProcessState,
+    rng: Rng,
+    stop: str,
+    cap: int | None = None,
+    amnesia: bool = True,
+) -> str:
+    """Step `state` with `reference_step` until a stop rule of
+    `random_model.run` fires, and return the rule that fired.
+
+    Before each proposal the rules are tested in a fixed order: "natural"
+    when the proposer has tried every girl; then the cap, which is the
+    stop "cap" or, for any other rule, a RuntimeError; then, with amnesia
+    off, an exhausted proposer, which also stops as "natural". After each
+    accepted proposal that emits a husband, "first_output" fires.
+    """
+    n = state.n
+    while True:
+        exhausted = state.ntried[state.proposer] == n
+        if stop == "natural" and exhausted:
+            return "natural"
+        if cap is not None and state.stats.t >= cap:
+            if stop == "cap":
+                return "cap"
+            raise RuntimeError(f"safety limit of {cap} proposals reached")
+        if not amnesia and exhausted:
+            return "natural"
+        event = reference_step(state, rng, amnesia=amnesia)
+        if stop == "first_output" and event.output is not None:
+            return "first_output"
 
 
 def reference_generate_uniform(n: int, rng: Rng) -> PreferenceInstance:

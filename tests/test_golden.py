@@ -1,10 +1,11 @@
 """Golden digests of seeded outputs.
 
 The `run` and `stable_husbands` digests were pinned before the chain's draws
-moved to block reads and before the free-boy counter in `stable_husbands`;
-the report and instance digests before the chain was folded into one kernel
-and the experiment kinds and gates became a table; the instance digests at
-n = 2, 3 and 1024 before `generate_uniform` moved to block reads.
+moved to block reads and before the free-boy counter in `stable_husbands`
+(the n = 4096 `run` digest later, before the chain's tried sets became byte
+rows); the report and instance digests before the chain was folded into one
+kernel and the experiment kinds and gates became a table; the instance
+digests at n = 2, 3 and 1024 before `generate_uniform` moved to block reads.
 
 A digest covers everything a call returns: for `run`, the outputs and every
 RunStats field; for `stable_husbands`, the husbands, every matching, the full
@@ -79,6 +80,9 @@ RUN_CASES = [
      "28cab8732e185925e6a4ef9f4a17cf572cd3a1a3d86d56389ae620fe2fef098a"),
     (1024, 0, 44, "first_output", None, False, True, False,
      "01ee7413ba1d773b73bcfcffea94d72639828057a02254cd3dd117b778406069"),
+    # 1,805,387 proposals, 4 husbands.
+    (4096, 0, 45, "natural", None, True, False, False,
+     "9edf75b269f3fb7331097257382f934100b0e791133c56ef9d708365a5d41685"),
 ]
 
 # (n, instance seed, girl, digest)

@@ -20,7 +20,6 @@ from stablematch.harness import (
     ConfigError,
     ExperimentConfig,
     TrialResult,
-    _acceptance_limit,
     _trial_seeds,
     report_json,
     run_experiment,
@@ -30,6 +29,7 @@ from stablematch.harness import (
 )
 from stablematch.instance import generate_uniform
 from stablematch.oracle import enumerate_stable
+from stablematch.random_model import _acceptance_limit
 from stablematch.rng import Rng, derive_seed
 
 from collections import Counter

@@ -15,9 +15,16 @@ from stablematch.random_model import (
 )
 from stablematch.rng import Rng
 
-from oracles import reference_step, seed_with_top_draw, tv_distance
+from oracles import reference_run, reference_step, seed_with_top_draw, tv_distance
 
 GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mark_tried(state, boy, girls):
+    """Record that `boy` has already proposed to each of `girls`."""
+    for j in girls:
+        state.proposed[boy][j] = 1
+    state.ntried[boy] = len(girls)
 
 
 def run_via_steps(n, girl, seed, steps, amnesia=True):
@@ -52,7 +59,7 @@ class TestTransitionProbabilities:
         #   girl 1 fresh   accept 1/9   reject 2/9
         #   girl 2 redundant             reject 1/3
         state = new_state(3, 0)
-        state.proposed[0] = {2}
+        mark_tried(state, 0, [2])
         state.offers = [1, 2, 1]
         state.best_offer = [1, 2, 0]
         state.introduced = 3
@@ -97,7 +104,7 @@ class TestTransitionProbabilities:
 
     def test_redundant_proposals_always_rejected_and_skip_offer_counts(self):
         state = new_state(2, 0)
-        state.proposed[0] = {0, 1}  # everything redundant from here
+        mark_tried(state, 0, [0, 1])  # everything redundant from here
         rng = Rng(5)
         offers_before = list(state.offers)
         for _ in range(100):
@@ -117,16 +124,15 @@ def test_conservation_after_every_step(n, seed, steps, amnesia):
     state, twin = new_state(n, 0), new_state(n, 0)
     rng, twin_rng = Rng(seed), Rng(seed)
     for _ in range(steps):
-        if not amnesia and len(state.proposed[state.proposer]) == n:
+        if not amnesia and state.ntried[state.proposer] == n:
             break
         event = step(state, rng, amnesia=amnesia)
         assert event == reference_step(twin, twin_rng, amnesia=amnesia)
         assert state == twin and rng._state == twin_rng._state
         assert sum(state.stats.proposals_per_girl) == state.stats.t
         assert sum(state.stats.proposals_per_boy) == state.stats.t
-        assert sum(state.stats.nonredundant_per_girl) == sum(
-            len(s) for s in state.proposed
-        )
+        assert sum(state.ntried) == sum(state.stats.nonredundant_per_girl)
+        assert state.ntried == [sum(row) for row in state.proposed]
 
 
 def assert_run_matches_steps(outputs, fast, state):
@@ -150,7 +156,10 @@ def assert_run_matches_steps(outputs, fast, state):
         if state.run_length > 0
         else []
     )
-    assert fast.run_lengths == (slow.run_lengths or []) + tail
+    if slow.run_lengths is None:
+        assert fast.run_lengths is None
+    else:
+        assert fast.run_lengths == slow.run_lengths + tail
     # Girls' fresh-offer counts recoverable from either side.
     assert state.offers == fast.nonredundant_per_girl
 
@@ -204,9 +213,10 @@ def test_stream_ends_where_the_scalar_draws_would(monkeypatch, n, seed, stop, ca
 
 class TestForcedRejection:
     """At n = 3, randrange rejects exactly one value, 2**64 - 1, so these
-    seeds force the rejection branch: on the first draw, on the first draw
-    of the second block (8 draws), and on the last draw of the second
-    block (draws 8 to 23), whose redraw comes from the third block."""
+    seeds force the rejection branch: on the first draw, inside the first
+    block (24 draws at n = 3), on its last draw, whose redraw comes from
+    the second block (draws 24 to 71), and on the first and the last draw
+    of the second block."""
 
     @pytest.mark.parametrize(
         "j,stop,cap,amnesia",
@@ -215,6 +225,8 @@ class TestForcedRejection:
             (0, "natural", None, False),
             (8, "natural", None, True),
             (23, "cap", 60, True),
+            (24, "cap", 60, True),
+            (71, "cap", 90, True),
         ],
     )
     def test_run_equals_step_replay(self, monkeypatch, j, stop, cap, amnesia):
@@ -229,18 +241,60 @@ class TestForcedRejection:
 
         state = new_state(n, 0)
         rng = Rng(seed)
-        while (
-            state.stats.t < cap
-            if stop == "cap"
-            else len(state.proposed[state.proposer]) < n
-        ):
-            reference_step(state, rng, amnesia=amnesia)
+        assert reference_run(state, rng, stop, cap, amnesia) == fast.stopped
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
         if amnesia:
             # The rejected draw is one more than proposals plus fresh ones.
             fresh = fast.t - fast.redundant_proposals
             assert rng._state == (seed + (fast.t + fresh + 1) * GOLDEN) % 2**64
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    stop=st.sampled_from(["natural", "cap", "first_output"]),
+    cap_rule=st.sampled_from(["none", "fixed", "at_exhaustion"]),
+    fixed_cap=st.integers(1, 300),
+    shift=st.integers(-1, 1),
+    amnesia=st.booleans(),
+    track_pairs=st.booleans(),
+    track_runs=st.booleans(),
+)
+def test_run_equals_reference_replay(
+    n, seed, stop, cap_rule, fixed_cap, shift, amnesia, track_pairs, track_runs
+):
+    # "at_exhaustion" puts the cap one proposal before, at or after the
+    # first time the proposer has tried every girl, where the stop rules
+    # meet and their order decides which one fires.
+    girl = seed % n
+    if cap_rule == "at_exhaustion":
+        probe = new_state(n, girl, track_pairs=False, track_runs=False)
+        reference_run(probe, Rng(seed), "natural", amnesia=amnesia)
+        cap = max(1, probe.stats.t + shift)
+    elif cap_rule == "fixed" or stop == "cap":
+        cap = fixed_cap
+    else:
+        cap = None
+    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    rng = Rng(seed)
+    args = dict(
+        stop=stop, max_proposals=cap, amnesia=amnesia,
+        track_pairs=track_pairs, track_runs=track_runs,
+    )
+    try:
+        stopped = reference_run(state, rng, stop, cap, amnesia)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="safety limit"):
+            run(n, girl, seed, **args)
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        streams = _keep_streams(monkeypatch)
+        outputs, fast = run(n, girl, seed, **args)
+    assert fast.stopped == stopped
+    assert_run_matches_steps(outputs, fast, state)
+    assert streams[0]._state == rng._state
 
 
 class TestStopRules:
@@ -281,7 +335,7 @@ class TestStopRules:
 
     def test_memory_mode_exhausted_proposer_rejected(self):
         state = new_state(2, 0)
-        state.proposed[0] = {0, 1}
+        mark_tried(state, 0, [0, 1])
         with pytest.raises(ValueError):
             step(state, Rng(1), amnesia=False)
 
