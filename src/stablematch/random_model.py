@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .rng import Rng
 
@@ -201,12 +203,15 @@ def _advance(
     block, and unread draws are handed back to the stream. Returns the stop
     that fired and the girl of the last proposal (None if none was made).
 
-    The stop rules are checked in a fixed order (natural, then cap, then an
-    exhausted proposer with amnesia off), but only where one can newly
-    hold: the tried-row checks when the proposer or his tried count
-    changes, the cap after every proposal. A run's proposal count is added
-    to its boy once, at the run's end or at the exit, as t minus the run's
-    start.
+    The stop rules are checked in a fixed order (first output, natural,
+    then cap, then an exhausted proposer with amnesia off), but only where
+    one can newly hold and no offer is pending: the loop reads every draw
+    of a block in one pass, and a fresh proposal leaves its offer count in
+    k, which makes the next draw, in this block or the next, its acceptance
+    draw. Once that offer is resolved, the loop leaves the pass for the
+    checks only if the proposer has tried every girl, the cap is reached or
+    a husband was emitted. A run's proposal count is added to its boy once,
+    at the run's end or at the exit, as t minus the run's start.
     """
     n = state.n
     stats = state.stats
@@ -238,6 +243,7 @@ def _advance(
     p = state.proposer
     tried = proposed[p]
     count = ntried[p]
+    pc = None if pair_counts is None else pair_counts[p]
     introduced = state.introduced
     post = state.post_first_output
     run_start = t - state.run_length
@@ -248,98 +254,105 @@ def _advance(
     accepts_by_g = stats.acceptances_by_girl
     g = state.girl
     natural = stop == "natural"
+    first_output = stop == "first_output"
     h = None
+    emitted: int | None = None
+    # The offer count of the fresh proposal whose acceptance draw comes
+    # next, or 0 when no offer is pending.
+    k = 0
 
     while True:
-        # Here the proposer or his tried count has changed, or a block ran
-        # out, or a redundant proposal reached the cap.
-        if natural and count == n:
-            fired = "natural"
-            break
-        if t >= cap:
-            if stop == "cap":
-                fired = "cap"
+        if not k:
+            # Here the proposer or his tried count has changed, a husband
+            # was emitted, the cap was reached, or a block ran out.
+            if first_output and emitted is not None:
+                fired = "first_output"
                 break
-            raise RuntimeError(
-                f"safety limit of {cap} proposals reached before stop rule {stop!r}"
-            )
-        if not amnesia and count == n:
-            fired = "natural"
-            break
-        # Draw until a fresh proposal; with amnesia, redundant ones are
-        # proposals too, each rejected, and each may reach the cap.
-        for u in it:
-            if u < limit:
-                h = u % n
-                if not tried[h]:
+            if natural and count == n:
+                fired = "natural"
+                break
+            if t >= cap:
+                if stop == "cap":
+                    fired = "cap"
                     break
-                if amnesia:
-                    t += 1
-                    per_girl[h] += 1
-                    if pair_counts is not None:
-                        pc = pair_counts[p]
-                        pc[h] = pc.get(h, 0) + 1
-                    redundant_total += 1
-                    if t >= cap:
+                raise RuntimeError(
+                    f"safety limit of {cap} proposals reached before stop rule {stop!r}"
+                )
+            if not amnesia and count == n:
+                fired = "natural"
+                break
+        for u in it:
+            if k:
+                # The acceptance draw of offer k.
+                if u >= accept[k]:
+                    k = 0
+                    if count == n or t >= cap:
                         break
+                    continue
+                k = 0
+                per_boy[p] += t - run_start
+                if run_lengths is not None:
+                    run_lengths.append((p, t - run_start, count - fresh_start))
+                run_start = t
+                if h == g:
+                    accepts_by_g += 1
+                previous = best_offer[h]
+                best_offer[h] = p
+                emitted = None
+                if previous is None:
+                    if introduced < n:
+                        nxt = introduced
+                        introduced += 1
+                    else:
+                        emitted = best_offer[g]
+                        nxt = emitted  # type: ignore[assignment]
+                elif h == g and post:
+                    emitted = p
+                    nxt = p
+                else:
+                    nxt = previous
+                ntried[p] = count
+                p = nxt
+                tried = proposed[p]
+                count = fresh_start = ntried[p]
+                runs_per_boy[p] += 1
+                if pair_counts is not None:
+                    pc = pair_counts[p]
+                if emitted is not None:
+                    outputs.append((emitted, t))
+                    if stats.first_output_time is None:
+                        stats.first_output_time = t
+                        stats.pre_output_acceptances = accepts_by_g - 1
+                        post = True
+                    break
+                if count == n or t >= cap:
+                    break
+            elif u < limit:
+                h = u % n
+                if tried[h]:
+                    # With amnesia, a redundant proposal is a proposal too,
+                    # always rejected, and it may reach the cap.
+                    if amnesia:
+                        t += 1
+                        per_girl[h] += 1
+                        if pc is not None:
+                            pc[h] = pc.get(h, 0) + 1
+                        redundant_total += 1
+                        if t >= cap:
+                            break
+                    continue
+                t += 1
+                per_girl[h] += 1
+                if pc is not None:
+                    pc[h] = 1  # a fresh proposal is the pair's first
+                tried[h] = 1
+                count += 1
+                k = offers[h] + 1
+                offers[h] = k
+                fresh_per_girl[h] += 1
         else:
             it = iter(rng_block(size).tolist())
             size = min(size + size, 2048)
-            continue
-        if tried[h]:
-            continue  # the cap, reached on a redundant proposal
-        t += 1
-        per_girl[h] += 1
-        if pair_counts is not None:
-            pc = pair_counts[p]
-            pc[h] = pc.get(h, 0) + 1
-        tried[h] = 1
-        count += 1
-        k = offers[h] + 1
-        offers[h] = k
-        fresh_per_girl[h] += 1
-        u = next(it, None)
-        if u is None:
-            it = iter(rng_block(size).tolist())
-            size = min(size + size, 2048)
-            u = next(it)
-        if u >= accept[k]:
-            continue
-        per_boy[p] += t - run_start
-        if run_lengths is not None:
-            run_lengths.append((p, t - run_start, count - fresh_start))
-        run_start = t
-        if h == g:
-            accepts_by_g += 1
-        previous = best_offer[h]
-        best_offer[h] = p
-        emitted: int | None = None
-        if previous is None:
-            if introduced < n:
-                nxt = introduced
-                introduced += 1
-            else:
-                emitted = best_offer[g]
-                nxt = emitted  # type: ignore[assignment]
-        elif h == g and post:
-            emitted = p
-            nxt = p
-        else:
-            nxt = previous
-        if emitted is not None:
-            outputs.append((emitted, t))
-            if stats.first_output_time is None:
-                stats.first_output_time = t
-                stats.pre_output_acceptances = accepts_by_g - 1
-                post = True
-        ntried[p] = count
-        p = nxt
-        tried = proposed[p]
-        count = fresh_start = ntried[p]
-        runs_per_boy[p] += 1
-        if stop == "first_output" and emitted is not None:
-            fired = "first_output"
-            break
 
     rng.unread(it.__length_hint__())
     per_boy[p] += t - run_start
@@ -519,59 +532,81 @@ def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
             )
         )
 
+    # Each check takes its extreme with C-level reductions and builds its
+    # violation list, in entity order, only when the extreme crosses the
+    # bound.
     counts = stats.proposals_per_girl
-    bad = [
-        {"girl": j, "count": c}
-        for j, c in enumerate(counts)
-        if not girl_lo <= c <= girl_hi
-    ]
-    worst = max(counts) if max(counts) > girl_hi else min(counts)
-    add("girl_proposal_window", girl_lo, girl_hi, worst, bad)
+    lo, hi = min(counts), max(counts)
+    bad = []
+    if lo < girl_lo or hi > girl_hi:
+        bad = [
+            {"girl": j, "count": c}
+            for j, c in enumerate(counts)
+            if not girl_lo <= c <= girl_hi
+        ]
+    add("girl_proposal_window", girl_lo, girl_hi, hi if hi > girl_hi else lo, bad)
 
-    bad = [
-        {"boy": b, "runs": r}
-        for b, r in enumerate(stats.runs_per_boy)
-        if r > run_starts_hi
-    ]
-    add("boy_run_starts", None, run_starts_hi, max(stats.runs_per_boy), bad)
+    worst = max(stats.runs_per_boy)
+    bad = []
+    if worst > run_starts_hi:
+        bad = [
+            {"boy": b, "runs": r}
+            for b, r in enumerate(stats.runs_per_boy)
+            if r > run_starts_hi
+        ]
+    add("boy_run_starts", None, run_starts_hi, worst, bad)
 
-    bad = [
-        {"boy": b, "fresh_length": fresh}
-        for b, total, fresh in stats.run_lengths
-        if fresh > run_len_hi
-    ]
-    worst = max((fresh for _, _, fresh in stats.run_lengths), default=0)
+    worst = max(map(itemgetter(2), stats.run_lengths), default=0)
+    bad = []
+    if worst > run_len_hi:
+        bad = [
+            {"boy": b, "fresh_length": fresh}
+            for b, total, fresh in stats.run_lengths
+            if fresh > run_len_hi
+        ]
     add("run_fresh_length", None, run_len_hi, worst, bad)
 
-    bad = [
-        {"boy": b, "length": total}
-        for b, total, fresh in stats.run_lengths
-        if total > run_len_hi
-    ]
-    worst = max((total for _, total, _ in stats.run_lengths), default=0)
+    worst = max(map(itemgetter(1), stats.run_lengths), default=0)
+    bad = []
+    if worst > run_len_hi:
+        bad = [
+            {"boy": b, "length": total}
+            for b, total, fresh in stats.run_lengths
+            if total > run_len_hi
+        ]
     add("run_total_length", None, run_len_hi, worst, bad)
 
-    bad = [
-        {"boy": b, "proposals": c}
-        for b, c in enumerate(stats.proposals_per_boy)
-        if c > boy_total_hi
-    ]
-    add("boy_total_proposals", None, boy_total_hi, max(stats.proposals_per_boy), bad)
-
+    worst = max(stats.proposals_per_boy)
     bad = []
-    worst = 0
-    for b, pc in enumerate(stats.pair_counts):
-        for j, c in pc.items():
-            worst = max(worst, c)
-            if c > pair_hi:
-                bad.append({"boy": b, "girl": j, "count": c})
+    if worst > boy_total_hi:
+        bad = [
+            {"boy": b, "proposals": c}
+            for b, c in enumerate(stats.proposals_per_boy)
+            if c > boy_total_hi
+        ]
+    add("boy_total_proposals", None, boy_total_hi, worst, bad)
+
+    worst = max(chain.from_iterable(map(dict.values, stats.pair_counts)), default=0)
+    bad = []
+    if worst > pair_hi:
+        bad = [
+            {"boy": b, "girl": j, "count": c}
+            for b, pc in enumerate(stats.pair_counts)
+            for j, c in pc.items()
+            if c > pair_hi
+        ]
     add("pair_repeat_proposals", None, pair_hi, worst, bad)
 
     fresh = stats.nonredundant_per_girl
-    bad = [
-        {"girl": j, "fresh_count": c} for j, c in enumerate(fresh) if c < fresh_floor
-    ]
-    add("girl_fresh_floor", fresh_floor, None, min(fresh), bad)
+    worst = min(fresh)
+    bad = []
+    if worst < fresh_floor:
+        bad = [
+            {"girl": j, "fresh_count": c}
+            for j, c in enumerate(fresh)
+            if c < fresh_floor
+        ]
+    add("girl_fresh_floor", fresh_floor, None, worst, bad)
 
     return AuditReport(
         n=n,

@@ -11,7 +11,13 @@ import math
 from collections import Counter
 
 from stablematch.instance import PreferenceInstance
-from stablematch.random_model import ProcessState, StepEvent
+from stablematch.random_model import (
+    AuditCheck,
+    AuditReport,
+    ProcessState,
+    RunStats,
+    StepEvent,
+)
 from stablematch.rng import Rng
 
 
@@ -350,3 +356,111 @@ def seed_with_top_draw(j: int) -> int:
     """A seed whose draw number j (0-based) is 2**64 - 1, the one value
     `Rng.randrange` rejects for every modulus that is not a power of two."""
     return (_unmix64(2**64 - 1) - (j + 1) * 0x9E3779B97F4A7C15) % 2**64
+
+
+def reference_audit(stats: RunStats, n: int, delta: float) -> AuditReport:
+    """The capped-window audit written out one entity at a time, the
+    definition that `random_model.audit_window_stats` is held to: every
+    violation list is built element by element, each pair count goes
+    through a Python-level `max`, and each check's extreme is taken from
+    the full lists. Checks, bounds and errors are those of
+    `audit_window_stats`.
+    """
+    if stats.n != n:
+        raise ValueError(f"stats cover n={stats.n}, audit requested n={n}")
+    cap = math.floor(n ** (1 + delta))
+    if stats.t != cap:
+        raise ValueError(
+            f"cap mismatch: stats cover t={stats.t} proposals, expected "
+            f"floor(n^(1+delta)) = {cap}"
+        )
+    if stats.pair_counts is None or stats.run_lengths is None:
+        raise ValueError("audit requires a run with pair and run tracking enabled")
+
+    log_n = max(math.log(n), 1.0)
+    nd = float(n) ** delta
+    clamp = lambda x: max(x, 1.0)
+
+    girl_lo = clamp(0.5 * nd)
+    girl_hi = clamp(2.0 * nd)
+    run_starts_hi = clamp(2.0 * nd)
+    run_len_hi = clamp(nd * log_n**2)
+    boy_total_hi = clamp(2.0 * nd**2 * log_n**2)
+    pair_hi = clamp(log_n)
+    fresh_floor = clamp(0.5 * nd / log_n)
+
+    checks: list[AuditCheck] = []
+
+    def add(name, lower, upper, worst, violations):
+        checks.append(
+            AuditCheck(
+                name=name,
+                passed=not violations,
+                lower=lower,
+                upper=upper,
+                worst=float(worst),
+                violations=tuple(violations),
+            )
+        )
+
+    counts = stats.proposals_per_girl
+    bad = [
+        {"girl": j, "count": c}
+        for j, c in enumerate(counts)
+        if not girl_lo <= c <= girl_hi
+    ]
+    worst = max(counts) if max(counts) > girl_hi else min(counts)
+    add("girl_proposal_window", girl_lo, girl_hi, worst, bad)
+
+    bad = [
+        {"boy": b, "runs": r}
+        for b, r in enumerate(stats.runs_per_boy)
+        if r > run_starts_hi
+    ]
+    add("boy_run_starts", None, run_starts_hi, max(stats.runs_per_boy), bad)
+
+    bad = [
+        {"boy": b, "fresh_length": fresh}
+        for b, total, fresh in stats.run_lengths
+        if fresh > run_len_hi
+    ]
+    worst = max((fresh for _, _, fresh in stats.run_lengths), default=0)
+    add("run_fresh_length", None, run_len_hi, worst, bad)
+
+    bad = [
+        {"boy": b, "length": total}
+        for b, total, fresh in stats.run_lengths
+        if total > run_len_hi
+    ]
+    worst = max((total for _, total, _ in stats.run_lengths), default=0)
+    add("run_total_length", None, run_len_hi, worst, bad)
+
+    bad = [
+        {"boy": b, "proposals": c}
+        for b, c in enumerate(stats.proposals_per_boy)
+        if c > boy_total_hi
+    ]
+    add("boy_total_proposals", None, boy_total_hi, max(stats.proposals_per_boy), bad)
+
+    bad = []
+    worst = 0
+    for b, pc in enumerate(stats.pair_counts):
+        for j, c in pc.items():
+            worst = max(worst, c)
+            if c > pair_hi:
+                bad.append({"boy": b, "girl": j, "count": c})
+    add("pair_repeat_proposals", None, pair_hi, worst, bad)
+
+    fresh = stats.nonredundant_per_girl
+    bad = [
+        {"girl": j, "fresh_count": c} for j, c in enumerate(fresh) if c < fresh_floor
+    ]
+    add("girl_fresh_floor", fresh_floor, None, min(fresh), bad)
+
+    return AuditReport(
+        n=n,
+        delta=delta,
+        cap=cap,
+        passed=all(c.passed for c in checks),
+        checks=tuple(checks),
+    )

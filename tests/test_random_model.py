@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -15,9 +16,16 @@ from stablematch.random_model import (
 )
 from stablematch.rng import Rng
 
-from oracles import reference_run, reference_step, seed_with_top_draw, tv_distance
+from oracles import (
+    reference_audit,
+    reference_run,
+    reference_step,
+    seed_with_top_draw,
+    tv_distance,
+)
 
 GOLDEN = 0x9E3779B97F4A7C15
+GOLDEN_INVERSE = pow(GOLDEN, -1, 2**64)
 
 
 def mark_tried(state, boy, girls):
@@ -250,6 +258,68 @@ class TestForcedRejection:
             assert rng._state == (seed + (fast.t + fresh + 1) * GOLDEN) % 2**64
 
 
+def _draws_read(rng: Rng, seed: int) -> int:
+    """How many draws `rng`, started at `seed`, has taken."""
+    return (rng._state - seed) * GOLDEN_INVERSE % 2**64
+
+
+def _boundary_seed(stop: str, accepted: bool) -> tuple[int, int | None]:
+    """The first seed whose chain at n = 3 (girl 0, amnesia on) makes a
+    fresh proposal with its girl draw the last of the first block (8·n = 24
+    draws) and its acceptance draw the first of the second; under "natural"
+    that proposal exhausts the proposer, under "cap" it is the cap-th. The
+    offer is accepted or not as asked. Returns (seed, cap); the cap is None
+    under "natural".
+    """
+    n = 3
+    first = 8 * n
+    for seed in range(100_000):
+        state = new_state(n, 0)
+        rng = Rng(seed)
+        while _draws_read(rng, seed) < first:
+            if stop == "natural" and state.ntried[state.proposer] == n:
+                break
+            before = _draws_read(rng, seed)
+            event = reference_step(state, rng)
+            if before != first - 1:
+                continue
+            if (
+                not event.redundant
+                and _draws_read(rng, seed) == first + 1
+                and event.accepted == accepted
+            ):
+                if stop == "cap":
+                    return seed, event.time
+                if state.ntried[event.proposer] == n:
+                    return seed, None
+            break
+    raise AssertionError(f"no seed below 100000 for {stop!r}, accepted={accepted}")
+
+
+class TestBlockBoundary:
+    """A fresh proposal whose acceptance draw opens a new block: the offer
+    stays pending across the block refill, so the stop rule that its
+    proposal brings into force (an exhausted proposer, or the cap) fires
+    only after that draw is read."""
+
+    @pytest.mark.parametrize("stop", ["natural", "cap"])
+    @pytest.mark.parametrize("accepted", [False, True])
+    def test_acceptance_draw_first_of_a_block(self, monkeypatch, stop, accepted):
+        n = 3
+        seed, cap = _boundary_seed(stop, accepted)
+        streams = _keep_streams(monkeypatch)
+        outputs, fast = run(n, 0, seed, stop=stop, max_proposals=cap)
+
+        state = new_state(n, 0)
+        rng = Rng(seed)
+        assert reference_run(state, rng, stop, cap) == fast.stopped == stop
+        assert_run_matches_steps(outputs, fast, state)
+        # One draw per proposal plus one per fresh proposal.
+        draws = fast.t + (fast.t - fast.redundant_proposals)
+        assert draws > 8 * n
+        assert streams[0]._state == rng._state == (seed + draws * GOLDEN) % 2**64
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 12),
@@ -449,3 +519,160 @@ class TestAudit:
         _, stats = run(4, 0, 7, stop="cap", max_proposals=int(4**1.3))
         with pytest.raises(ValueError):
             audit_window_stats(stats, 5, 0.3)
+
+
+def _audit_bounds(n: int, delta: float) -> tuple[int, dict]:
+    """The audit's cap and each check's bounds, read off a reference audit
+    of an all-zero run."""
+    cap = math.floor(n ** (1 + delta))
+    zero = RunStats(
+        n=n,
+        girl=0,
+        t=cap,
+        proposals_per_girl=[0] * n,
+        nonredundant_per_girl=[0] * n,
+        proposals_per_boy=[0] * n,
+        runs_per_boy=[0] * n,
+        run_lengths=[],
+        pair_counts=[{} for _ in range(n)],
+    )
+    return cap, {c.name: c for c in reference_audit(zero, n, delta).checks}
+
+
+def _around(bound: float) -> list:
+    """The bound itself (a float), the integers either side of it, and one
+    further out on each side; every bound is at least 1, so none is
+    negative."""
+    lo, hi = math.floor(bound), math.ceil(bound)
+    return sorted({bound, lo, hi, lo - 1, hi + 1})
+
+
+@st.composite
+def synthetic_audit_stats(draw, violate_all: bool = False):
+    """(stats, n, delta) for a RunStats whose counts sit on and about each
+    check's bounds. Each check is forced to have a violation with some
+    probability, and run_lengths and pair_counts may be empty; with
+    violate_all, every check has a violation."""
+    n = draw(st.integers(1, 12))
+    delta = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    cap, checks = _audit_bounds(n, delta)
+
+    def values(bounds, size):
+        near = [x for b in bounds for x in _around(b)]
+        return draw(
+            st.lists(
+                st.sampled_from(near) | st.integers(0, math.ceil(max(bounds)) + 2),
+                min_size=size,
+                max_size=size,
+            )
+        )
+
+    def force(xs, value):
+        # Put one value past a bound at a drawn position.
+        if xs and (violate_all or draw(st.booleans())):
+            xs[draw(st.integers(0, len(xs) - 1))] = value
+
+    window = checks["girl_proposal_window"]
+    per_girl = values([window.lower, window.upper], n)
+    force(per_girl, math.floor(window.upper) + 1)
+    force(per_girl, math.ceil(window.lower) - 1)
+    runs = values([checks["boy_run_starts"].upper], n)
+    force(runs, math.floor(checks["boy_run_starts"].upper) + 1)
+    boy_total = checks["boy_total_proposals"].upper
+    per_boy = values([boy_total], n)
+    force(per_boy, math.floor(boy_total) + 1)
+    floor = checks["girl_fresh_floor"].lower
+    fresh = values([floor], n)
+    force(fresh, math.ceil(floor) - 1)
+
+    run_hi = checks["run_total_length"].upper
+    size = draw(st.integers(1 if violate_all else 0, 2 * n))
+    lengths = list(zip(
+        draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+        values([run_hi], size),
+        values([run_hi], size),
+    ))
+    if lengths and (violate_all or draw(st.booleans())):
+        b, _, f = lengths[0]
+        lengths[0] = (b, math.floor(run_hi) + 1, f)
+    if lengths and (violate_all or draw(st.booleans())):
+        b, total, _ = lengths[-1]
+        lengths[-1] = (b, total, math.floor(run_hi) + 1)
+
+    pair_hi = checks["pair_repeat_proposals"].upper
+    if not violate_all and draw(st.booleans()):
+        pairs = []
+    else:
+        pairs = []
+        for _ in range(n):
+            girls = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            counts = values([pair_hi], len(girls))
+            pairs.append({j: max(c, 1) for j, c in zip(girls, counts)})
+        if violate_all:
+            pairs[-1][0] = math.floor(pair_hi) + 1
+
+    stats = RunStats(
+        n=n,
+        girl=0,
+        t=cap,
+        proposals_per_girl=per_girl,
+        nonredundant_per_girl=fresh,
+        proposals_per_boy=per_boy,
+        runs_per_boy=runs,
+        run_lengths=lengths,
+        pair_counts=pairs,
+    )
+    return stats, n, delta
+
+
+def assert_audit_equals_reference(stats, n, delta):
+    report = audit_window_stats(stats, n, delta)
+    expected = reference_audit(stats, n, delta)
+    # Equal reports: every violation in order, and each float worst.
+    assert report == expected
+    assert report.to_dict() == expected.to_dict()
+    return report
+
+
+class TestAuditEqualsReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        delta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_capped_runs(self, n, delta, seed):
+        cap = math.floor(n ** (1 + delta))
+        _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
+        assert_audit_equals_reference(stats, n, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(synthetic_audit_stats())
+    def test_synthetic_counts_on_the_bounds(self, case):
+        assert_audit_equals_reference(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(synthetic_audit_stats(violate_all=True))
+    def test_every_check_violated(self, case):
+        report = assert_audit_equals_reference(*case)
+        assert not any(c.passed for c in report.checks)
+
+    @pytest.mark.parametrize("pair_counts", [[], [{}, {}, {}]])
+    def test_empty_runs_and_pairs(self, pair_counts):
+        n, delta = 3, 0.3
+        stats = RunStats(
+            n=n,
+            girl=0,
+            t=math.floor(n ** (1 + delta)),
+            proposals_per_girl=[1, 2, 1],
+            nonredundant_per_girl=[1, 1, 1],
+            proposals_per_boy=[2, 1, 1],
+            runs_per_boy=[1, 1, 0],
+            run_lengths=[],
+            pair_counts=pair_counts,
+        )
+        report = assert_audit_equals_reference(stats, n, delta)
+        worst = {c.name: c.worst for c in report.checks}
+        assert worst["run_fresh_length"] == 0.0
+        assert worst["run_total_length"] == 0.0
+        assert worst["pair_repeat_proposals"] == 0.0
