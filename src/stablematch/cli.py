@@ -121,6 +121,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         stop, cap = "natural", None
     if args.audit:
+        if args.natural or args.first_output:
+            flag = "--natural" if args.natural else "--first-output"
+            raise ConfigError(
+                f"--audit runs a window capped at floor(n^(1+delta)) proposals; "
+                f"it cannot take {flag}"
+            )
         expected = math.floor(args.n ** (1 + args.delta))
         if cap is None:
             stop, cap = "cap", expected

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .rng import Rng
 
@@ -35,9 +35,13 @@ class RunStats:
 
     Times are proposal counts, 1-based at each proposal; t is the total.
     proposals_per_girl includes redundant proposals, nonredundant_per_girl
-    counts only fresh ones. pre_output_acceptances counts the designated
-    girl's acceptances that were superseded before the first output, so
-    acceptances_by_girl == len(outputs) + pre_output_acceptances exactly.
+    counts only fresh ones, and a girl's fresh count is also her offer
+    count, the k of her next offer's 1/k acceptance. pair_counts[b] holds
+    only the girls boy b proposed to more than once, each with his full
+    count (at least 2); a pair proposed to once appears only in his tried
+    row. pre_output_acceptances counts the designated girl's acceptances
+    that were superseded before the first output, so acceptances_by_girl
+    == len(outputs) + pre_output_acceptances exactly.
     """
 
     n: int
@@ -56,25 +60,6 @@ class RunStats:
     pre_output_acceptances: int = 0
     stopped: str | None = None
 
-    def copy(self) -> "RunStats":
-        out = RunStats(self.n, self.girl)
-        out.t = self.t
-        out.proposals_per_girl = list(self.proposals_per_girl)
-        out.nonredundant_per_girl = list(self.nonredundant_per_girl)
-        out.proposals_per_boy = list(self.proposals_per_boy)
-        out.runs_per_boy = list(self.runs_per_boy)
-        out.run_lengths = None if self.run_lengths is None else list(self.run_lengths)
-        out.pair_counts = (
-            None if self.pair_counts is None else [dict(d) for d in self.pair_counts]
-        )
-        out.redundant_proposals = self.redundant_proposals
-        out.outputs = list(self.outputs)
-        out.first_output_time = self.first_output_time
-        out.acceptances_by_girl = self.acceptances_by_girl
-        out.pre_output_acceptances = self.pre_output_acceptances
-        out.stopped = self.stopped
-        return out
-
 
 @dataclass
 class ProcessState:
@@ -84,10 +69,10 @@ class ProcessState:
     == 1 once he has proposed to girl j, and ntried[b] the number of girls
     he has tried (the count of ones in his row); best_offer[j] the boy
     holding girl j's best offer so far (None before her first fresh
-    proposal); offers[j] her count of fresh proposals. introduced counts
-    boys who have entered the game. run_length and run_fresh count the
-    proposals, and the fresh ones among them, of the proposer's run in
-    progress.
+    proposal); her count of fresh proposals is stats.nonredundant_per_girl.
+    introduced counts boys who have entered the game. run_length and
+    run_fresh count the proposals, and the fresh ones among them, of the
+    proposer's run in progress.
     """
 
     n: int
@@ -97,7 +82,6 @@ class ProcessState:
     introduced: int
     proposer: int
     best_offer: list[int | None]
-    offers: list[int]
     post_first_output: bool
     run_length: int
     run_fresh: int
@@ -106,22 +90,6 @@ class ProcessState:
     @property
     def outputs(self) -> list[tuple[int, int]]:
         return self.stats.outputs
-
-    def clone(self) -> "ProcessState":
-        return ProcessState(
-            n=self.n,
-            girl=self.girl,
-            proposed=[bytearray(row) for row in self.proposed],
-            ntried=list(self.ntried),
-            introduced=self.introduced,
-            proposer=self.proposer,
-            best_offer=list(self.best_offer),
-            offers=list(self.offers),
-            post_first_output=self.post_first_output,
-            run_length=self.run_length,
-            run_fresh=self.run_fresh,
-            stats=self.stats.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -162,7 +130,6 @@ def new_state(
         introduced=1,
         proposer=0,
         best_offer=[None] * n,
-        offers=[0] * n,
         post_first_output=False,
         run_length=0,
         run_fresh=0,
@@ -212,15 +179,23 @@ def _advance(
     checks only if the proposer has tried every girl, the cap is reached or
     a husband was emitted. A run's proposal count is added to its boy once,
     at the run's end or at the exit, as t minus the run's start.
+
+    A fresh proposal writes only t, the tried byte, the tried count and
+    the girl's offer count (her entry in nonredundant_per_girl). Inside the
+    loop proposals_per_girl counts only redundant proposals, and a pair's
+    count is written only when it repeats; at the exit each girl's
+    proposals gain her fresh ones, taken against an entry copy of the
+    offer counts, and redundant_proposals gains the proposals made less
+    the fresh ones.
     """
     n = state.n
     stats = state.stats
     proposed = state.proposed
     ntried = state.ntried
     best_offer = state.best_offer
-    offers = state.offers
     per_girl = stats.proposals_per_girl
     fresh_per_girl = stats.nonredundant_per_girl
+    fresh_before = fresh_per_girl[:]
     per_boy = stats.proposals_per_boy
     runs_per_boy = stats.runs_per_boy
     run_lengths = stats.run_lengths
@@ -250,7 +225,7 @@ def _advance(
     fresh_start = count - state.run_fresh
     # The run in progress is counted whole when it ends or at the exit.
     per_boy[p] -= state.run_length
-    redundant_total = stats.redundant_proposals
+    t_before = t
     accepts_by_g = stats.acceptances_by_girl
     g = state.girl
     natural = stop == "natural"
@@ -336,20 +311,16 @@ def _advance(
                         t += 1
                         per_girl[h] += 1
                         if pc is not None:
-                            pc[h] = pc.get(h, 0) + 1
-                        redundant_total += 1
+                            # The pair's first proposal was fresh.
+                            pc[h] = pc.get(h, 1) + 1
                         if t >= cap:
                             break
                     continue
                 t += 1
-                per_girl[h] += 1
-                if pc is not None:
-                    pc[h] = 1  # a fresh proposal is the pair's first
                 tried[h] = 1
                 count += 1
-                k = offers[h] + 1
-                offers[h] = k
-                fresh_per_girl[h] += 1
+                k = fresh_per_girl[h] + 1
+                fresh_per_girl[h] = k
         else:
             it = iter(rng_block(size).tolist())
             size = min(size + size, 2048)
@@ -358,7 +329,9 @@ def _advance(
     per_boy[p] += t - run_start
     ntried[p] = count
     stats.t = t
-    stats.redundant_proposals = redundant_total
+    fresh = sum(fresh_per_girl) - sum(fresh_before)
+    stats.redundant_proposals += t - t_before - fresh
+    per_girl[:] = map(add, per_girl, map(sub, fresh_per_girl, fresh_before))
     stats.acceptances_by_girl = accepts_by_g
     if stats.first_output_time is None:
         stats.pre_output_acceptances = accepts_by_g
@@ -487,7 +460,7 @@ def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
       boy_total_proposals    every boy made at most 2*n^(2*delta)*(log n)^2
                              proposals
       pair_repeat_proposals  no boy proposed to one girl more than log n
-                             times
+                             times (violations by boy, then girl)
       girl_fresh_floor       every girl received at least nd/(2*log n)
                              fresh proposals
 
@@ -586,13 +559,15 @@ def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
         ]
     add("boy_total_proposals", None, boy_total_hi, worst, bad)
 
-    worst = max(chain.from_iterable(map(dict.values, stats.pair_counts)), default=0)
+    # The pair dicts hold repeated pairs only; with none, every pair tried
+    # was proposed to once, and a capped run has tried at least one.
+    worst = max(chain.from_iterable(map(dict.values, stats.pair_counts)), default=1)
     bad = []
     if worst > pair_hi:
         bad = [
             {"boy": b, "girl": j, "count": c}
             for b, pc in enumerate(stats.pair_counts)
-            for j, c in pc.items()
+            for j, c in sorted(pc.items())
             if c > pair_hi
         ]
     add("pair_repeat_proposals", None, pair_hi, worst, bad)

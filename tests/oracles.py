@@ -220,6 +220,8 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
     for the acceptance test against 1/k. A redundant proposal consumes just
     the integer draw, is rejected, and leaves the proposer in place. With
     amnesia off, the proposer redraws until he hits a girl he has not tried.
+    It counts every proposal of every pair in `stats.pair_counts`, where
+    the chain keeps only the pairs proposed to more than once.
     """
     n = state.n
     stats = state.stats
@@ -247,9 +249,8 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
         return StepEvent(t, p, h, redundant=True, accepted=False)
     tried[h] = 1
     state.ntried[p] += 1
-    k = state.offers[h] + 1
-    state.offers[h] = k
-    stats.nonredundant_per_girl[h] += 1
+    k = stats.nonredundant_per_girl[h] + 1
+    stats.nonredundant_per_girl[h] = k
     state.run_fresh += 1
     if rng.random() * k >= 1.0:
         return StepEvent(t, p, h, redundant=False, accepted=False)
@@ -288,6 +289,62 @@ def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepE
     state.proposer = nxt
     stats.runs_per_boy[nxt] += 1
     return StepEvent(t, p, h, redundant=False, accepted=True, output=output)
+
+
+def copy_stats(stats: RunStats) -> RunStats:
+    """An independent copy of `stats`: no list or dict is shared."""
+    out = RunStats(stats.n, stats.girl)
+    out.t = stats.t
+    out.proposals_per_girl = list(stats.proposals_per_girl)
+    out.nonredundant_per_girl = list(stats.nonredundant_per_girl)
+    out.proposals_per_boy = list(stats.proposals_per_boy)
+    out.runs_per_boy = list(stats.runs_per_boy)
+    out.run_lengths = None if stats.run_lengths is None else list(stats.run_lengths)
+    out.pair_counts = (
+        None if stats.pair_counts is None else [dict(d) for d in stats.pair_counts]
+    )
+    out.redundant_proposals = stats.redundant_proposals
+    out.outputs = list(stats.outputs)
+    out.first_output_time = stats.first_output_time
+    out.acceptances_by_girl = stats.acceptances_by_girl
+    out.pre_output_acceptances = stats.pre_output_acceptances
+    out.stopped = stats.stopped
+    return out
+
+
+def clone_state(state: ProcessState) -> ProcessState:
+    """An independent copy of `state`, its stats included."""
+    return ProcessState(
+        n=state.n,
+        girl=state.girl,
+        proposed=[bytearray(row) for row in state.proposed],
+        ntried=list(state.ntried),
+        introduced=state.introduced,
+        proposer=state.proposer,
+        best_offer=list(state.best_offer),
+        post_first_output=state.post_first_output,
+        run_length=state.run_length,
+        run_fresh=state.run_fresh,
+        stats=copy_stats(state.stats),
+    )
+
+
+def repeated_pairs(pair_counts: list[dict[int, int]] | None):
+    """Full pair counts restricted to the pairs proposed to more than once,
+    the form the chain keeps in `RunStats.pair_counts`."""
+    if pair_counts is None:
+        return None
+    return [{j: c for j, c in pc.items() if c >= 2} for pc in pair_counts]
+
+
+def full_pair_counts(state: ProcessState) -> list[dict[int, int]]:
+    """Every boy's count for every girl he tried, in girl order, from the
+    tried rows of `state` and its repeated-pair counts."""
+    assert state.stats.pair_counts is not None
+    return [
+        {j: pc.get(j, 1) for j in range(state.n) if row[j]}
+        for row, pc in zip(state.proposed, state.stats.pair_counts)
+    ]
 
 
 def reference_run(

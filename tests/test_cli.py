@@ -145,6 +145,18 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--natural", "--first-output"])
+    def test_audit_with_a_stop_flag(self, capsys, flag):
+        # An audit always runs the capped window, so an explicit other stop
+        # rule is a named error rather than silently ignored.
+        code = main([
+            "simulate", "--n", "16", "--seed", "3", "--delta", "0.3", "--audit", flag,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
     def test_audit_needs_delta(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--n", "16", "--seed", "3", "--audit")
         assert code == 2
@@ -515,6 +527,8 @@ def run_generated(root, argv: list[str], config) -> int:
 @example((["simulate", "--n", "4", "--seed", "0", "--delta", "inf", "--audit"], None))
 @example((["simulate", "--n", "0", "--seed", "0", "--delta", "-1.5", "--audit"], None))
 @example((["simulate", "--n", "-1", "--seed", "0", "--delta", "-1.5", "--audit"], None))
+@example((["simulate", "--n", "16", "--seed", "3", "--delta", "0.3", "--audit",
+           "--first-output"], None))
 @example((["bounds", "--pgf", "accept", "5", "--tail", "upper", "--r", "nan",
            "--optimize"], None))
 @example((["bounds", "--pgf", "accept", "5", "--tail", "upper", "--r", "1",

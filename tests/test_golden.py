@@ -7,6 +7,12 @@ rows); the report and instance digests before the chain was folded into one
 kernel and the experiment kinds and gates became a table; the instance
 digests at n = 2, 3 and 1024 before `generate_uniform` moved to block reads.
 
+The `run` digests of the 18 cases with pair tracking on, all but the n = 1
+run capped at 5 (whose only pair is already a repeat), were re-pinned once
+when `RunStats.pair_counts` came to keep only repeated pairs (`REPINNED`);
+the change dropped the count-1 entries a fresh proposal used to write, and
+the draws, the outputs and every other field stayed as they were.
+
 A digest covers everything a call returns: for `run`, the outputs and every
 RunStats field; for `stable_husbands`, the husbands, every matching, the full
 trace and the counters; for a campaign, its whole `report_json`, gate
@@ -85,6 +91,52 @@ RUN_CASES = [
      "9edf75b269f3fb7331097257382f934100b0e791133c56ef9d708365a5d41685"),
 ]
 
+# The 18 pair-tracking cases whose digests moved when RunStats.pair_counts
+# came to hold only the pairs a boy proposed to more than once (a pair
+# proposed to once is recorded by his tried row alone). Each new digest was
+# computed from the previous kernel's output, with its pair counts
+# restricted to counts >= 2, before the kernel changed; nothing else in
+# those outputs moved. A case keeps its first digest in RUN_CASES, and with
+# it its test id; this maps that digest to the one now expected.
+REPINNED = {
+    "94872f4688193face4c70f5c7c398b6a2eac6c43e2fe73e572dcec7133e9d6e0":
+        "610d4fc3dfbe9058eb651e346c41875f7061329a102d7e792259be55e3784e5d",
+    "f74833543c9e6efb162babcafa183e5c7a58350ffc931ae9b996489ba6b7f156":
+        "7efe216f43e0f4863c7868ec19ce8ff9a8750759bcf4643cc639db98afddab3f",
+    "1ccec2611405927d9e27e1d1cae51e5879e1f91e0a8083206cb8ea4a0d5746fa":
+        "de932ddcd2415be0bf25edbc62c90cf720fffdc8b2f7203f4100ff0fcf690b78",
+    "84129a20bcf77af1b7a5de426485dce95b0c2025b23d8076f7971003e7123f2d":
+        "ca999a560582485787580df2a949dd2e8ad990d4a9d0da817d7258194dafe21f",
+    "88bc46c813a883f71b9ede3cac91dcce661f9347453ad97a3030501c7f58004f":
+        "65576518fd10f17c6917931d766b222f94d665ed075b0a089c84c2f263727f85",
+    "f79fe1a4d3ef7f216158c80d3c4d3a75b14492d7f380aca8336a9a5936d1be0c":
+        "e1fcafce0a92e79bd73d9715af8df0d7bf5ebcf5d09a538e9a94defbe655c064",
+    "4844f9c168cc85cbac6708f7b4669fb84ad171189315be0d10506d77d79f36f7":
+        "539376526d7f0b463a29f28d26aa8374f7e853a2b96431e5e85a9d9be7a7b08f",
+    "1a36befa9402d9b84a27ecea1d768ad779bc8a2a56324b816b07fd2158091895":
+        "fa54d5f44a0310ae09e3d2586c3d97ae83ed700e4cd5b8bb436568030250a18b",
+    "3276f3f42434084639aa5297789dc01e38d1669e573c7024f52a6d9e6f6c21ea":
+        "762951d8e7b0c1dfcb255c80a3da929913ec0a26df1051845819c32f4dfe108c",
+    "5c2617b78c863a9722523bfdb8412597d8779a58c94937a3f7ed7cc58eb1992c":
+        "15935fdabd8ac979ee93a0deafce3e15d2b485dac794784acd546e084f7406bc",
+    "68265ef6ac6e49627502be09354d79f44c515d698c3619ec756f16b842ae467e":
+        "ca811a5b92d1fb626b96ee097b242c61f729b5e072d8b15a4474dabd7e24d9ec",
+    "fa0234f9d7b835fac86e82c83399a6de04a754a3e4d0d5b28f062f793e8c13fa":
+        "4c6ce417056a121685e4901e984e72bd5ffd8f9065e3a8a22fb4702aa3eae498",
+    "c569946c87ccf0bdbf5c5790855eafb3892324a92208b6fb1314ceddcb22dbfe":
+        "cb1ee52e282577e4da1fc9fb155d99acd514d9c203d77af5919dfc4cd22f8f80",
+    "bb584e4db1ad5574fdfc0658e5435f6b70ac346872728f04e21ba8c6d1d047ae":
+        "b713e01d1d9d37ade4761c6864898b57693ceb2d092428b5ce1edc6265be3553",
+    "ad1c0218cdd9b7b72f00348e166d2da1b01686aad4c21fe12131d36106709a0e":
+        "91bea55220b0f7feb5e0f577169b5caff31f525122d27d3cfc8c8150ebb2a0fc",
+    "feee629acb90fa948081496e23cc6f377fd5d54b6d2b6cf730e422fa35be202e":
+        "75decbe74aec5a810a66ec58054072c8f87e89ba56bb6eee7249be2dcd4c0168",
+    "eb2bc8fab456cdeef2549a71bc4c02836b9a1b778dae9ea50025390626b284ac":
+        "1a38b3424bbe023a85d0ef99e22154911ea81627e02da74bfbdf6e507de70270",
+    "01ee7413ba1d773b73bcfcffea94d72639828057a02254cd3dd117b778406069":
+        "9fcb3a5ea94adec7eaecbd8c82b3893c75dec08cfe8a855190e854e21bf49e01",
+}
+
 # (n, instance seed, girl, digest)
 ENUMERATION_CASES = [
     (1, 1, 0,
@@ -120,7 +172,8 @@ def test_run_digest(n, girl, seed, stop, cap, amnesia, track_pairs, track_runs, 
         track_pairs=track_pairs,
         track_runs=track_runs,
     )
-    assert _digest({"outputs": outputs, "stats": dataclasses.asdict(stats)}) == digest
+    doc = {"outputs": outputs, "stats": dataclasses.asdict(stats)}
+    assert _digest(doc) == REPINNED.get(digest, digest)
 
 
 @pytest.mark.parametrize("n,seed,girl,digest", ENUMERATION_CASES)

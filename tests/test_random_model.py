@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stablematch import random_model
 from stablematch.random_model import (
@@ -17,9 +18,12 @@ from stablematch.random_model import (
 from stablematch.rng import Rng
 
 from oracles import (
+    clone_state,
+    full_pair_counts,
     reference_audit,
     reference_run,
     reference_step,
+    repeated_pairs,
     seed_with_top_draw,
     tv_distance,
 )
@@ -68,7 +72,7 @@ class TestTransitionProbabilities:
         #   girl 2 redundant             reject 1/3
         state = new_state(3, 0)
         mark_tried(state, 0, [2])
-        state.offers = [1, 2, 1]
+        state.stats.nonredundant_per_girl = [1, 2, 1]
         state.best_offer = [1, 2, 0]
         state.introduced = 3
         return state
@@ -79,7 +83,7 @@ class TestTransitionProbabilities:
         trials = 36_000
         counts = Counter()
         for _ in range(trials):
-            event = step(base.clone(), rng)
+            event = step(clone_state(base), rng)
             counts[(event.girl, event.redundant, event.accepted)] += 1
         expected = {
             (0, False, True): 1 / 6,
@@ -101,7 +105,7 @@ class TestTransitionProbabilities:
         accepted = 0
         for _ in range(trials):
             state = new_state(4, 0)
-            state.offers = [3, 3, 3, 3]
+            state.stats.nonredundant_per_girl = [3, 3, 3, 3]
             state.best_offer = [1, 1, 1, 1]
             state.introduced = 4
             if step(state, rng).accepted:
@@ -114,12 +118,33 @@ class TestTransitionProbabilities:
         state = new_state(2, 0)
         mark_tried(state, 0, [0, 1])  # everything redundant from here
         rng = Rng(5)
-        offers_before = list(state.offers)
+        offers_before = list(state.stats.nonredundant_per_girl)
         for _ in range(100):
             event = step(state, rng)
             assert event.redundant and not event.accepted
-        assert state.offers == offers_before
+        assert state.stats.nonredundant_per_girl == offers_before
         assert state.stats.redundant_proposals == 100
+
+
+def assert_derived_counters(state):
+    """The counters the kernel settles at its exit agree with the counts it
+    keeps in the loop and with the tried rows."""
+    stats = state.stats
+    fresh = stats.t - stats.redundant_proposals
+    assert sum(stats.proposals_per_girl) == stats.t
+    assert fresh == sum(stats.nonredundant_per_girl) == sum(state.ntried)
+    assert state.ntried == [sum(row) for row in state.proposed]
+    assert stats.nonredundant_per_girl == [sum(col) for col in zip(*state.proposed)]
+
+
+def assert_state_equals_reference(state, twin):
+    """`state` equals the reference state `twin` field for field, the pair
+    counts compared with the reference's full counts restricted to the
+    repeated pairs."""
+    stats = dataclasses.replace(
+        twin.stats, pair_counts=repeated_pairs(twin.stats.pair_counts)
+    )
+    assert state == dataclasses.replace(twin, stats=stats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,11 +161,10 @@ def test_conservation_after_every_step(n, seed, steps, amnesia):
             break
         event = step(state, rng, amnesia=amnesia)
         assert event == reference_step(twin, twin_rng, amnesia=amnesia)
-        assert state == twin and rng._state == twin_rng._state
-        assert sum(state.stats.proposals_per_girl) == state.stats.t
+        assert_state_equals_reference(state, twin)
+        assert rng._state == twin_rng._state
         assert sum(state.stats.proposals_per_boy) == state.stats.t
-        assert sum(state.ntried) == sum(state.stats.nonredundant_per_girl)
-        assert state.ntried == [sum(row) for row in state.proposed]
+        assert_derived_counters(state)
 
 
 def assert_run_matches_steps(outputs, fast, state):
@@ -157,7 +181,7 @@ def assert_run_matches_steps(outputs, fast, state):
     assert fast.first_output_time == slow.first_output_time
     assert fast.acceptances_by_girl == slow.acceptances_by_girl
     assert fast.pre_output_acceptances == slow.pre_output_acceptances
-    assert fast.pair_counts == slow.pair_counts
+    assert fast.pair_counts == repeated_pairs(slow.pair_counts)
     # The fast loop flushes the run in progress at the stop.
     tail = (
         [(state.proposer, state.run_length, state.run_fresh)]
@@ -168,8 +192,8 @@ def assert_run_matches_steps(outputs, fast, state):
         assert fast.run_lengths is None
     else:
         assert fast.run_lengths == slow.run_lengths + tail
-    # Girls' fresh-offer counts recoverable from either side.
-    assert state.offers == fast.nonredundant_per_girl
+    # Each girl's fresh count is her column count in the tried rows.
+    assert fast.nonredundant_per_girl == [sum(col) for col in zip(*state.proposed)]
 
 
 class TestRunStepAgreement:
@@ -195,6 +219,20 @@ def _keep_streams(monkeypatch) -> list[Rng]:
 
     monkeypatch.setattr(random_model, "Rng", keep)
     return streams
+
+
+def _keep_states(monkeypatch) -> list:
+    """Record every state `run` creates, in creation order."""
+    states = []
+    make = random_model.new_state
+
+    def keep(*args, **kwargs):
+        state = make(*args, **kwargs)
+        states.append(state)
+        return state
+
+    monkeypatch.setattr(random_model, "new_state", keep)
+    return states
 
 
 @pytest.mark.parametrize(
@@ -320,6 +358,90 @@ class TestBlockBoundary:
         assert streams[0]._state == rng._state == (seed + draws * GOLDEN) % 2**64
 
 
+def _block_ends(n: int) -> list[int]:
+    """The draw counts at which the first three blocks of a run from a fresh
+    state end, when its cap is at least n: a first block of min(8·n, 2048)
+    draws, each next one twice the last, up to 2048 (8·n, 24·n and 56·n
+    for n <= 64)."""
+    ends, size, total = [], min(8 * n, 2048), 0
+    for _ in range(3):
+        total += size
+        ends.append(total)
+        size = min(2 * size, 2048)
+    return ends
+
+
+def _aimed_run(n, start, stop, block, gap, amnesia):
+    """(seed, cap, draws) for the first seed from `start` whose reference
+    run at n, girl seed % n, ends `gap` draws past a block end of `run`.
+
+    Under "natural" that is any of the first three block ends, and the cap
+    is None; with gap 1 the stopping proposal's girl draw is the last of a
+    block and its acceptance draw the first of the next. Under "cap" it is
+    block end `block`, and the cap is the proposal count there, so the
+    cap-th proposal ends `gap` draws into the next block. None if no seed
+    in 5000 is one.
+    """
+    ends = _block_ends(n)
+    for seed in range(start, start + 5000):
+        state = new_state(n, seed % n, track_pairs=False, track_runs=False)
+        rng = Rng(seed)
+        if stop == "natural":
+            reference_run(state, rng, "natural", amnesia=amnesia)
+            draws = _draws_read(rng, seed)
+            if draws - gap in ends:
+                return seed, None, draws
+            continue
+        target = ends[block] + gap
+        while _draws_read(rng, seed) < target:
+            if not amnesia and state.ntried[state.proposer] == n:
+                break
+            reference_step(state, rng, amnesia=amnesia)
+        if _draws_read(rng, seed) == target:
+            return seed, state.stats.t, target
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    start=st.integers(0, 2**63),
+    stop=st.sampled_from(["natural", "cap"]),
+    block=st.integers(0, 2),
+    gap=st.integers(0, 1),
+    amnesia=st.booleans(),
+    track_pairs=st.booleans(),
+    track_runs=st.booleans(),
+)
+def test_stops_aimed_at_block_ends(
+    n, start, stop, block, gap, amnesia, track_pairs, track_runs
+):
+    # The stop falls on a block end of the kernel, or one draw past it, so
+    # that an offer is pending across the refill; `run` must still equal
+    # the reference replay and end the stream where the scalar draws would.
+    assume(stop == "cap" or n >= 2)
+    aimed = _aimed_run(n, start, stop, block, gap, amnesia)
+    assume(aimed is not None)
+    seed, cap, draws = aimed
+    if cap is not None:
+        assert min(8 * n, 8 * cap, 2048) == 8 * n
+    girl = seed % n
+    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    rng = Rng(seed)
+    stopped = reference_run(state, rng, stop, cap, amnesia)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        streams = _keep_streams(monkeypatch)
+        states = _keep_states(monkeypatch)
+        outputs, fast = run(
+            n, girl, seed, stop=stop, max_proposals=cap, amnesia=amnesia,
+            track_pairs=track_pairs, track_runs=track_runs,
+        )
+    assert fast.stopped == stopped
+    assert_run_matches_steps(outputs, fast, state)
+    assert_derived_counters(states[0])
+    assert streams[0]._state == rng._state == (seed + draws * GOLDEN) % 2**64
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 12),
@@ -361,10 +483,12 @@ def test_run_equals_reference_replay(
         return
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
+        states = _keep_states(monkeypatch)
         outputs, fast = run(n, girl, seed, **args)
     assert fast.stopped == stopped
     assert_run_matches_steps(outputs, fast, state)
     assert streams[0]._state == rng._state
+    assert_derived_counters(states[0])
 
 
 class TestStopRules:
@@ -379,11 +503,12 @@ class TestStopRules:
         assert stats.first_output_time == stats.t
         assert min(stats.proposals_per_girl) >= 1
 
-    def test_natural_runs_until_some_boy_exhausts(self):
+    def test_natural_runs_until_some_boy_exhausts(self, monkeypatch):
+        states = _keep_states(monkeypatch)
         outputs, stats = run(5, 0, 123, stop="natural")
         assert stats.stopped == "natural"
         assert len(outputs) >= 1
-        assert any(c == 5 for c in map(len, _proposed_sets(stats)))
+        assert 5 in states[0].ntried
 
     def test_safety_limit_raises(self):
         with pytest.raises(RuntimeError):
@@ -408,11 +533,6 @@ class TestStopRules:
         mark_tried(state, 0, [0, 1])
         with pytest.raises(ValueError):
             step(state, Rng(1), amnesia=False)
-
-
-def _proposed_sets(stats: RunStats) -> list[set[int]]:
-    assert stats.pair_counts is not None
-    return [set(pc) for pc in stats.pair_counts]
 
 
 def test_first_output_lands_inside_collector_window():
@@ -497,7 +617,7 @@ class TestAudit:
         stats.proposals_per_boy = [2, 1, 3, 0]
         stats.runs_per_boy = [1, 1, 1, 0]
         stats.run_lengths = [(0, 2, 2), (1, 2, 2), (2, 2, 2)]
-        stats.pair_counts = [{0: 1, 1: 1}, {2: 1}, {1: 3}, {}]
+        stats.pair_counts = [{}, {}, {1: 3}, {}]
         report = audit_window_stats(stats, n, delta)
         assert not report.passed
         failing = [c for c in report.checks if not c.passed]
@@ -549,10 +669,13 @@ def _around(bound: float) -> list:
 
 @st.composite
 def synthetic_audit_stats(draw, violate_all: bool = False):
-    """(stats, n, delta) for a RunStats whose counts sit on and about each
-    check's bounds. Each check is forced to have a violation with some
-    probability, and run_lengths and pair_counts may be empty; with
-    violate_all, every check has a violation."""
+    """(stats, n, delta, full pair counts) for a RunStats whose counts sit
+    on and about each check's bounds. Each check is forced to have a
+    violation with some probability, run_lengths may be empty, and no pair
+    may repeat; with violate_all, every check has a violation. The full
+    counts list, in girl order, every tried pair with its count, at least
+    one pair in all (as a run with t >= 1 has); stats.pair_counts is their
+    restriction to the repeated pairs."""
     n = draw(st.integers(1, 12))
     delta = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
     cap, checks = _audit_bounds(n, delta)
@@ -600,16 +723,17 @@ def synthetic_audit_stats(draw, violate_all: bool = False):
         lengths[-1] = (b, total, math.floor(run_hi) + 1)
 
     pair_hi = checks["pair_repeat_proposals"].upper
-    if not violate_all and draw(st.booleans()):
-        pairs = []
-    else:
-        pairs = []
-        for _ in range(n):
-            girls = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-            counts = values([pair_hi], len(girls))
-            pairs.append({j: max(c, 1) for j, c in zip(girls, counts)})
-        if violate_all:
-            pairs[-1][0] = math.floor(pair_hi) + 1
+    repeats = violate_all or draw(st.booleans())
+    pairs = []
+    for _ in range(n):
+        girls = sorted(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+        counts = values([pair_hi], len(girls)) if repeats else [1] * len(girls)
+        pairs.append({j: max(c, 1) for j, c in zip(girls, counts)})
+    if violate_all:
+        pairs[-1][0] = math.floor(pair_hi) + 1
+        pairs[-1] = dict(sorted(pairs[-1].items()))
+    elif not any(pairs):
+        pairs[0][0] = 1
 
     stats = RunStats(
         n=n,
@@ -620,14 +744,18 @@ def synthetic_audit_stats(draw, violate_all: bool = False):
         proposals_per_boy=per_boy,
         runs_per_boy=runs,
         run_lengths=lengths,
-        pair_counts=pairs,
+        pair_counts=repeated_pairs(pairs),
     )
-    return stats, n, delta
+    return stats, n, delta, pairs
 
 
-def assert_audit_equals_reference(stats, n, delta):
+def assert_audit_equals_reference(stats, n, delta, full_pairs):
+    """The audit of `stats` equals the reference audit of the same counts
+    with the full pair counts `full_pairs`."""
     report = audit_window_stats(stats, n, delta)
-    expected = reference_audit(stats, n, delta)
+    expected = reference_audit(
+        dataclasses.replace(stats, pair_counts=full_pairs), n, delta
+    )
     # Equal reports: every violation in order, and each float worst.
     assert report == expected
     assert report.to_dict() == expected.to_dict()
@@ -643,8 +771,12 @@ class TestAuditEqualsReference:
     )
     def test_capped_runs(self, n, delta, seed):
         cap = math.floor(n ** (1 + delta))
-        _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
-        assert_audit_equals_reference(stats, n, delta)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            states = _keep_states(monkeypatch)
+            _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
+        full = full_pair_counts(states[0])
+        assert repeated_pairs(full) == stats.pair_counts
+        assert_audit_equals_reference(stats, n, delta, full)
 
     @settings(max_examples=200, deadline=None)
     @given(synthetic_audit_stats())
@@ -659,6 +791,8 @@ class TestAuditEqualsReference:
 
     @pytest.mark.parametrize("pair_counts", [[], [{}, {}, {}]])
     def test_empty_runs_and_pairs(self, pair_counts):
+        # No run recorded and no pair repeated: the pair dicts are empty,
+        # and every pair tried was proposed to once.
         n, delta = 3, 0.3
         stats = RunStats(
             n=n,
@@ -671,8 +805,9 @@ class TestAuditEqualsReference:
             run_lengths=[],
             pair_counts=pair_counts,
         )
-        report = assert_audit_equals_reference(stats, n, delta)
+        full = [{0: 1, 1: 1}, {2: 1}, {}]
+        report = assert_audit_equals_reference(stats, n, delta, full)
         worst = {c.name: c.worst for c in report.checks}
         assert worst["run_fresh_length"] == 0.0
         assert worst["run_total_length"] == 0.0
-        assert worst["pair_repeat_proposals"] == 0.0
+        assert worst["pair_repeat_proposals"] == 1.0
