@@ -31,16 +31,14 @@ from .matching import (
     gale_shapley_boys_propose,
     stable_husbands,
 )
-from .oracle import OracleScaleError, StableSet, enumerate_stable, husband_set
+from .oracle import OracleScaleError, StableSet, enumerate_stable
 from .random_model import (
     AuditReport,
     ProcessState,
     RunStats,
-    StepEvent,
     audit_window_stats,
     new_state,
     run,
-    step,
 )
 from .rng import Rng, derive_seed
 
@@ -61,7 +59,6 @@ __all__ = [
     "Rng",
     "RunStats",
     "StableSet",
-    "StepEvent",
     "TailBound",
     "TraceEvent",
     "AuditReport",
@@ -75,7 +72,6 @@ __all__ = [
     "generate_uniform",
     "harmonic",
     "husband_count_envelope",
-    "husband_set",
     "load",
     "new_state",
     "optimize_tail",
@@ -83,7 +79,6 @@ __all__ = [
     "run_experiment",
     "save",
     "stable_husbands",
-    "step",
     "summarize",
     "tail_bound",
     "validate",

@@ -45,15 +45,6 @@ class Matching:
             wife[b] = g
         return Matching(tuple(husband_of), tuple(wife))
 
-    @staticmethod
-    def from_pairs(n: int, pairs: Sequence[tuple[int, int]]) -> "Matching":
-        husband: list[int | None] = [None] * n
-        for g, b in pairs:
-            if husband[g] is not None:
-                raise ValueError(f"girl {g} is married to two boys")
-            husband[g] = b
-        return Matching.from_husbands(husband)
-
     @property
     def n(self) -> int:
         return len(self.husband_of)

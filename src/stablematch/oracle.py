@@ -72,34 +72,3 @@ def enumerate_stable(instance: PreferenceInstance, limit: int = 8) -> StableSet:
         frozenset(m.husband_of[g] for m in found) for g in range(n)  # type: ignore[misc]
     )
     return StableSet(matchings=tuple(found), husband_sets=sets)
-
-
-def husband_set(stable: StableSet, girl: int) -> frozenset[int]:
-    """The designated girl's partners across all stable matchings."""
-    if not 0 <= girl < len(stable.husband_sets):
-        raise ValueError(f"girl index {girl} out of range")
-    return stable.husband_sets[girl]
-
-
-def boy_optimal_matching(stable: StableSet, instance: PreferenceInstance) -> Matching:
-    """Each boy's most preferred partner over the stable set.
-
-    For stable matchings these choices are simultaneously achievable, so the
-    result is itself one of the matchings in the set.
-    """
-    best: list[int | None] = [None] * instance.n
-    for m in stable.matchings:
-        for b, g in enumerate(m.wife_of):
-            assert g is not None
-            if best[b] is None or instance.boy_rank[b][g] < instance.boy_rank[b][best[b]]:
-                best[b] = g
-    wives = tuple(best)
-    for m in stable.matchings:
-        if m.wife_of == wives:
-            return m
-    raise AssertionError("boy-optimal choices did not form a stable matching")
-
-
-def worst_husband(stable: StableSet, instance: PreferenceInstance, girl: int) -> int:
-    """The girl's least preferred stable husband."""
-    return max(husband_set(stable, girl), key=lambda b: instance.girl_rank[girl][b])

@@ -2,7 +2,7 @@
 
 Instead of fixing preference tables up front, preferences unfold as random
 draws while the proposal algorithm runs. Boys propose to a girl chosen
-uniformly among all n girls ("amnesia": a boy may repeat himself, and such
+uniformly among all n girls (a memoryless boy may repeat himself, and such
 redundant proposals are always rejected); a girl accepts her k-th fresh
 offer with probability 1/k. This chain has the same transition
 probabilities as the stable-husband search on a uniformly random instance,
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 
 from .rng import Rng
 
@@ -63,45 +63,21 @@ class RunStats:
 
 @dataclass
 class ProcessState:
-    """Live state of the chain, one proposer active at a time.
+    """The chain's per-entity state, read and written by its kernel.
 
     proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
     == 1 once he has proposed to girl j, and ntried[b] the number of girls
     he has tried (the count of ones in his row); best_offer[j] the boy
     holding girl j's best offer so far (None before her first fresh
     proposal); her count of fresh proposals is stats.nonredundant_per_girl.
-    introduced counts boys who have entered the game. run_length and
-    run_fresh count the proposals, and the fresh ones among them, of the
-    proposer's run in progress.
     """
 
     n: int
     girl: int
     proposed: list[bytearray]
     ntried: list[int]
-    introduced: int
-    proposer: int
     best_offer: list[int | None]
-    post_first_output: bool
-    run_length: int
-    run_fresh: int
     stats: RunStats
-
-    @property
-    def outputs(self) -> list[tuple[int, int]]:
-        return self.stats.outputs
-
-
-@dataclass(frozen=True)
-class StepEvent:
-    """What one proposal did: who asked whom, and how it was resolved."""
-
-    time: int
-    proposer: int
-    girl: int
-    redundant: bool
-    accepted: bool
-    output: int | None = None
 
 
 def new_state(
@@ -127,12 +103,7 @@ def new_state(
         girl=girl,
         proposed=[bytearray(n) for _ in range(n)],
         ntried=[0] * n,
-        introduced=1,
-        proposer=0,
         best_offer=[None] * n,
-        post_first_output=False,
-        run_length=0,
-        run_fresh=0,
         stats=stats,
     )
 
@@ -155,38 +126,36 @@ def _acceptance_limits(n: int) -> tuple[int, ...]:
     return (0, *map(_acceptance_limit, range(1, n + 1)))
 
 
-def _advance(
-    state: ProcessState, rng: Rng, stop: str, cap: int | None, amnesia: bool
-) -> tuple[str, int | None]:
-    """Make proposals from `state` until the stop rule fires: the chain's loop,
-    behind both `run` and `step`.
+def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
+    """Run the chain from the fresh `state` of `new_state` until the stop
+    rule fires, and return the stop that fired: the chain's loop, behind
+    `run`.
 
     stop is a stop rule of `run`; cap is the proposal count where "cap"
-    fires, and a safety limit for the other rules. The state is loaded into
-    locals and written back at the end. Draws come from `Rng.block`, with
+    fires, and a safety limit for the other rules. Boy 0 proposes first,
+    with one boy introduced. Draws come from `Rng.block`, with
     `randrange`'s rejection rule and `random`'s float (as the integer bound
     `_acceptance_limit`), so each is the draw those calls would take. Blocks
     start small and double up to 2048, so short runs never compute a large
-    block, and unread draws are handed back to the stream. Returns the stop
-    that fired and the girl of the last proposal (None if none was made).
+    block, and unread draws are handed back to the stream.
 
     The stop rules are checked in a fixed order (first output, natural,
-    then cap, then an exhausted proposer with amnesia off), but only where
-    one can newly hold and no offer is pending: the loop reads every draw
-    of a block in one pass, and a fresh proposal leaves its offer count in
-    k, which makes the next draw, in this block or the next, its acceptance
-    draw. Once that offer is resolved, the loop leaves the pass for the
-    checks only if the proposer has tried every girl, the cap is reached or
-    a husband was emitted. A run's proposal count is added to its boy once,
-    at the run's end or at the exit, as t minus the run's start.
+    then cap), but only where one can newly hold and no offer is pending:
+    the loop reads every draw of a block in one pass, and a fresh proposal
+    leaves its offer count in k, which makes the next draw, in this block
+    or the next, its acceptance draw. Once that offer is resolved, the loop
+    leaves the pass for the checks only if the proposer has tried every
+    girl, the cap is reached or a husband was emitted. A run's proposal
+    count is added to its boy once, at the run's end or at the stop, as t
+    minus the run's start; with run tracking, the run in progress at the
+    stop is recorded as observed so far.
 
     A fresh proposal writes only t, the tried byte, the tried count and
     the girl's offer count (her entry in nonredundant_per_girl). Inside the
     loop proposals_per_girl counts only redundant proposals, and a pair's
-    count is written only when it repeats; at the exit each girl's
-    proposals gain her fresh ones, taken against an entry copy of the
-    offer counts, and redundant_proposals gains the proposals made less
-    the fresh ones.
+    count is written only when it repeats; at the stop each girl's
+    proposals gain her offer count, and redundant_proposals is the
+    proposals made less the fresh ones.
     """
     n = state.n
     stats = state.stats
@@ -195,7 +164,6 @@ def _advance(
     best_offer = state.best_offer
     per_girl = stats.proposals_per_girl
     fresh_per_girl = stats.nonredundant_per_girl
-    fresh_before = fresh_per_girl[:]
     per_boy = stats.proposals_per_boy
     runs_per_boy = stats.runs_per_boy
     run_lengths = stats.run_lengths
@@ -209,28 +177,24 @@ def _advance(
     if cap is None:
         cap = 2**64
     # The first block is sized from n (a natural run at n = 3 reads about
-    # 17 draws) and from the proposals left before the cap (so `step`
-    # computes no more than 8); blocks then double up to 2048.
-    size = min(8 * n, 8 * (cap - stats.t), 2048)
+    # 17 draws) and from the cap (so a short capped run computes no more
+    # than it can read); blocks then double up to 2048.
+    size = min(8 * n, 8 * cap, 2048)
     it = iter(())
 
-    t = stats.t
-    p = state.proposer
+    t = 0
+    p = 0
     tried = proposed[p]
-    count = ntried[p]
+    count = 0
     pc = None if pair_counts is None else pair_counts[p]
-    introduced = state.introduced
-    post = state.post_first_output
-    run_start = t - state.run_length
-    fresh_start = count - state.run_fresh
-    # The run in progress is counted whole when it ends or at the exit.
-    per_boy[p] -= state.run_length
-    t_before = t
-    accepts_by_g = stats.acceptances_by_girl
+    introduced = 1
+    post = False
+    run_start = 0
+    fresh_start = 0
+    accepts_by_g = 0
     g = state.girl
     natural = stop == "natural"
     first_output = stop == "first_output"
-    h = None
     emitted: int | None = None
     # The offer count of the fresh proposal whose acceptance draw comes
     # next, or 0 when no offer is pending.
@@ -253,9 +217,6 @@ def _advance(
                 raise RuntimeError(
                     f"safety limit of {cap} proposals reached before stop rule {stop!r}"
                 )
-            if not amnesia and count == n:
-                fired = "natural"
-                break
         for u in it:
             if k:
                 # The acceptance draw of offer k.
@@ -305,16 +266,15 @@ def _advance(
             elif u < limit:
                 h = u % n
                 if tried[h]:
-                    # With amnesia, a redundant proposal is a proposal too,
-                    # always rejected, and it may reach the cap.
-                    if amnesia:
-                        t += 1
-                        per_girl[h] += 1
-                        if pc is not None:
-                            # The pair's first proposal was fresh.
-                            pc[h] = pc.get(h, 1) + 1
-                        if t >= cap:
-                            break
+                    # A redundant proposal is a proposal too, always
+                    # rejected, and it may reach the cap.
+                    t += 1
+                    per_girl[h] += 1
+                    if pc is not None:
+                        # The pair's first proposal was fresh.
+                        pc[h] = pc.get(h, 1) + 1
+                    if t >= cap:
+                        break
                     continue
                 t += 1
                 tried[h] = 1
@@ -327,43 +287,16 @@ def _advance(
 
     rng.unread(it.__length_hint__())
     per_boy[p] += t - run_start
+    if run_lengths is not None and t > run_start:
+        run_lengths.append((p, t - run_start, count - fresh_start))
     ntried[p] = count
     stats.t = t
-    fresh = sum(fresh_per_girl) - sum(fresh_before)
-    stats.redundant_proposals += t - t_before - fresh
-    per_girl[:] = map(add, per_girl, map(sub, fresh_per_girl, fresh_before))
+    stats.redundant_proposals = t - sum(fresh_per_girl)
+    per_girl[:] = map(add, per_girl, fresh_per_girl)
     stats.acceptances_by_girl = accepts_by_g
     if stats.first_output_time is None:
         stats.pre_output_acceptances = accepts_by_g
-    state.proposer = p
-    state.introduced = introduced
-    state.post_first_output = post
-    state.run_length = t - run_start
-    state.run_fresh = count - fresh_start
-    return fired, h
-
-
-def step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepEvent:
-    """Perform exactly one proposal and resolve it, mutating the state.
-
-    Draw order is fixed for reproducibility: one uniform integer for the
-    proposed girl, then (for fresh proposals only) one uniform real for the
-    acceptance test against 1/k. A redundant proposal consumes just the
-    integer draw, is rejected, and leaves the proposer in place. With
-    amnesia off, the proposer draws uniformly among the girls he has not
-    tried, which changes no output distribution but makes every proposal
-    fresh; it is an error to step an exhausted proposer in that mode.
-    """
-    stats = state.stats
-    p = state.proposer
-    if not amnesia and state.ntried[p] == state.n:
-        raise ValueError(f"proposer {p} has already tried every girl")
-    redundant_before = stats.redundant_proposals
-    emitted = len(stats.outputs)
-    _, h = _advance(state, rng, "cap", stats.t + 1, amnesia)
-    redundant = stats.redundant_proposals > redundant_before
-    output = stats.outputs[-1][0] if len(stats.outputs) > emitted else None
-    return StepEvent(stats.t, p, h, redundant, state.run_length == 0, output)
+    return fired
 
 
 def run(
@@ -372,7 +305,6 @@ def run(
     seed: int,
     stop: str = "natural",
     max_proposals: int | None = None,
-    amnesia: bool = True,
     track_pairs: bool = True,
     track_runs: bool = True,
 ) -> tuple[list[tuple[int, int]], RunStats]:
@@ -395,10 +327,7 @@ def run(
             raise ValueError("stop='cap' requires max_proposals >= 1")
     state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
     stats = state.stats
-    stats.stopped, _ = _advance(state, Rng(seed), stop, max_proposals, amnesia)
-    if stats.run_lengths is not None and state.run_length > 0:
-        # The run in progress at the stop is recorded as observed so far.
-        stats.run_lengths.append((state.proposer, state.run_length, state.run_fresh))
+    stats.stopped = _advance(state, Rng(seed), stop, max_proposals)
     return list(stats.outputs), stats
 
 

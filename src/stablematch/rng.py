@@ -107,13 +107,3 @@ class Rng:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle; every permutation equally likely."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def spawn(self, index: int) -> "Rng":
-        """A child stream; children with distinct indices are independent."""
-        return Rng(derive_seed(self._state, index))

@@ -2,21 +2,25 @@
 
 Everything here is deliberately naive (convolutions, direct summation,
 explicit recurrences, one scalar proposal at a time) and shares no code
-with the implementations under test beyond their plain data types.
+with the implementations under test beyond their plain data types and the
+fresh chain state of `new_state`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 from stablematch.instance import PreferenceInstance
+from stablematch.matching import Matching
+from stablematch.oracle import StableSet
 from stablematch.random_model import (
     AuditCheck,
     AuditReport,
     ProcessState,
     RunStats,
-    StepEvent,
+    new_state,
 )
 from stablematch.rng import Rng
 
@@ -211,17 +215,96 @@ def rotation_chain_husbands(girl_prefs, boy_prefs, girl: int) -> list[int]:
     return partners
 
 
-def reference_step(state: ProcessState, rng: Rng, amnesia: bool = True) -> StepEvent:
+def matching_from_pairs(n: int, pairs) -> Matching:
+    """The matching of size n with the given (girl, boy) pairs."""
+    husband: list[int | None] = [None] * n
+    for g, b in pairs:
+        if husband[g] is not None:
+            raise ValueError(f"girl {g} is married to two boys")
+        husband[g] = b
+    return Matching.from_husbands(husband)
+
+
+def husband_set(stable: StableSet, girl: int) -> frozenset[int]:
+    """The designated girl's partners across all stable matchings."""
+    if not 0 <= girl < len(stable.husband_sets):
+        raise ValueError(f"girl index {girl} out of range")
+    return stable.husband_sets[girl]
+
+
+def boy_optimal_matching(stable: StableSet, instance: PreferenceInstance) -> Matching:
+    """Each boy's most preferred partner over the stable set.
+
+    For stable matchings these choices are simultaneously achievable, so the
+    result is itself one of the matchings in the set.
+    """
+    best: list[int | None] = [None] * instance.n
+    for m in stable.matchings:
+        for b, g in enumerate(m.wife_of):
+            assert g is not None
+            if best[b] is None or instance.boy_rank[b][g] < instance.boy_rank[b][best[b]]:
+                best[b] = g
+    wives = tuple(best)
+    for m in stable.matchings:
+        if m.wife_of == wives:
+            return m
+    raise AssertionError("boy-optimal choices did not form a stable matching")
+
+
+def worst_husband(stable: StableSet, instance: PreferenceInstance, girl: int) -> int:
+    """The girl's least preferred stable husband."""
+    return max(husband_set(stable, girl), key=lambda b: instance.girl_rank[girl][b])
+
+
+@dataclass(frozen=True)
+class StepEvent:
+    """What one proposal did: who asked whom, and how it was resolved."""
+
+    time: int
+    proposer: int
+    girl: int
+    redundant: bool
+    accepted: bool
+    output: int | None = None
+
+
+@dataclass
+class ReferenceState(ProcessState):
+    """A chain state that can stop and resume after any proposal: the
+    kernel's fields plus the proposer, the count of boys introduced, whether
+    a husband has been emitted, and the proposals and fresh ones among them
+    of the proposer's run in progress."""
+
+    proposer: int = 0
+    introduced: int = 1
+    post_first_output: bool = False
+    run_length: int = 0
+    run_fresh: int = 0
+
+
+def reference_state(
+    n: int, girl: int, track_pairs: bool = True, track_runs: bool = True
+) -> ReferenceState:
+    """The fresh state of `new_state`, with boy 0 proposing."""
+    return ReferenceState(**vars(new_state(n, girl, track_pairs, track_runs)))
+
+
+def reference_step(
+    state: ReferenceState, rng: Rng, amnesia: bool = True
+) -> StepEvent:
     """One proposal of the chain, written out scalar, the definition that
-    `random_model.step` and `random_model.run` are held to.
+    `random_model.run` is held to.
 
     Draws only through `Rng.randrange` and `Rng.random`: one uniform integer
     for the proposed girl, then (for fresh proposals only) one uniform real
     for the acceptance test against 1/k. A redundant proposal consumes just
     the integer draw, is rejected, and leaves the proposer in place. With
-    amnesia off, the proposer redraws until he hits a girl he has not tried.
-    It counts every proposal of every pair in `stats.pair_counts`, where
-    the chain keeps only the pairs proposed to more than once.
+    amnesia off, the memoryful variant, the proposer redraws until he hits
+    a girl he has not tried, so every proposal is fresh; it changes no
+    output distribution, and it is an error to step an exhausted proposer
+    in that mode. It counts every proposal of every pair in
+    `stats.pair_counts`, where the chain keeps only the pairs proposed to
+    more than once.
     """
     n = state.n
     stats = state.stats
@@ -312,9 +395,9 @@ def copy_stats(stats: RunStats) -> RunStats:
     return out
 
 
-def clone_state(state: ProcessState) -> ProcessState:
+def clone_state(state: ReferenceState) -> ReferenceState:
     """An independent copy of `state`, its stats included."""
-    return ProcessState(
+    return ReferenceState(
         n=state.n,
         girl=state.girl,
         proposed=[bytearray(row) for row in state.proposed],
@@ -348,7 +431,7 @@ def full_pair_counts(state: ProcessState) -> list[dict[int, int]]:
 
 
 def reference_run(
-    state: ProcessState,
+    state: ReferenceState,
     rng: Rng,
     stop: str,
     cap: int | None = None,
@@ -379,11 +462,18 @@ def reference_run(
             return "first_output"
 
 
+def reference_shuffle(items: list, rng: Rng) -> None:
+    """In-place Fisher-Yates shuffle, every permutation equally likely: one
+    `Rng.randrange(i + 1)` for i = len(items) - 1 down to 1."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def reference_generate_uniform(n: int, rng: Rng) -> PreferenceInstance:
     """A uniform instance drawn scalar from `rng`, the definition that
     `instance.generate_uniform` is held to: girls' rows, then boys' rows,
-    each `range(n)` put through `Rng.shuffle`, which draws one
-    `Rng.randrange(i + 1)` for i = n - 1 down to 1.
+    each `range(n)` put through `reference_shuffle`.
     """
     if n < 1:
         raise ValueError("instance size must be at least 1")
@@ -392,7 +482,7 @@ def reference_generate_uniform(n: int, rng: Rng) -> PreferenceInstance:
     for rows in (girl_prefs, boy_prefs):
         for _ in range(n):
             row = list(range(n))
-            rng.shuffle(row)
+            reference_shuffle(row, rng)
             rows.append(row)
     return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)
 

@@ -61,12 +61,7 @@ from stablematch.matching import (
     gale_shapley_boys_propose,
     stable_husbands,
 )
-from stablematch.oracle import (
-    boy_optimal_matching,
-    enumerate_stable,
-    husband_set,
-    worst_husband,
-)
+from stablematch.oracle import enumerate_stable
 from stablematch.random_model import audit_window_stats, run as run_process
 from stablematch.rng import derive_seed
 
@@ -74,9 +69,12 @@ from oracles import (
     acceptance_pmf_convolution,
     acceptance_pmf_cycle_recurrence,
     binomial_pmf,
+    boy_optimal_matching,
+    husband_set,
     lower_tail,
     rotation_chain_husbands,
     upper_tail,
+    worst_husband,
 )
 
 MASTER_SEED = 20260808

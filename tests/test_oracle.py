@@ -5,12 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from stablematch.instance import PreferenceInstance, fixture_4x4
 from stablematch.matching import find_blocking_pairs
-from stablematch.oracle import (
-    OracleScaleError,
-    enumerate_stable,
-    husband_set,
-    worst_husband,
-)
+from stablematch.oracle import OracleScaleError, enumerate_stable
+
+from oracles import husband_set, worst_husband
 
 A, B, C, D = range(4)
 W, X, Y, Z = range(4)

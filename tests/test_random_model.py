@@ -13,7 +13,6 @@ from stablematch.random_model import (
     audit_window_stats,
     new_state,
     run,
-    step,
 )
 from stablematch.rng import Rng
 
@@ -22,6 +21,7 @@ from oracles import (
     full_pair_counts,
     reference_audit,
     reference_run,
+    reference_state,
     reference_step,
     repeated_pairs,
     seed_with_top_draw,
@@ -39,10 +39,10 @@ def mark_tried(state, boy, girls):
     state.ntried[boy] = len(girls)
 
 
-def run_via_steps(n, girl, seed, steps, amnesia=True):
-    state = new_state(n, girl)
+def run_via_steps(n, girl, seed, steps):
+    state = reference_state(n, girl)
     rng = Rng(seed)
-    events = [reference_step(state, rng, amnesia=amnesia) for _ in range(steps)]
+    events = [reference_step(state, rng) for _ in range(steps)]
     return state, events
 
 
@@ -57,10 +57,11 @@ class TestForcedPaths:
         assert stats.pre_output_acceptances == 0
 
     def test_first_fresh_proposal_always_accepted(self):
+        # Accepted, the first offer introduces boy 1 as the next proposer.
         for seed in range(50):
-            state = new_state(5, 0)
-            event = step(state, Rng(seed))
-            assert event.accepted and not event.redundant
+            _, stats = run(5, 0, seed, stop="cap", max_proposals=1)
+            assert stats.redundant_proposals == 0
+            assert stats.runs_per_boy == [1, 1, 0, 0, 0]
 
 
 class TestTransitionProbabilities:
@@ -70,7 +71,7 @@ class TestTransitionProbabilities:
         #   girl 0 fresh   accept 1/6   reject 1/6
         #   girl 1 fresh   accept 1/9   reject 2/9
         #   girl 2 redundant             reject 1/3
-        state = new_state(3, 0)
+        state = reference_state(3, 0)
         mark_tried(state, 0, [2])
         state.stats.nonredundant_per_girl = [1, 2, 1]
         state.best_offer = [1, 2, 0]
@@ -83,7 +84,7 @@ class TestTransitionProbabilities:
         trials = 36_000
         counts = Counter()
         for _ in range(trials):
-            event = step(clone_state(base), rng)
+            event = reference_step(clone_state(base), rng)
             counts[(event.girl, event.redundant, event.accepted)] += 1
         expected = {
             (0, False, True): 1 / 6,
@@ -104,23 +105,23 @@ class TestTransitionProbabilities:
         rng = Rng(31337)
         accepted = 0
         for _ in range(trials):
-            state = new_state(4, 0)
+            state = reference_state(4, 0)
             state.stats.nonredundant_per_girl = [3, 3, 3, 3]
             state.best_offer = [1, 1, 1, 1]
             state.introduced = 4
-            if step(state, rng).accepted:
+            if reference_step(state, rng).accepted:
                 accepted += 1
         p = 0.25
         sigma = (trials * p * (1 - p)) ** 0.5
         assert abs(accepted - trials * p) <= 3 * sigma
 
     def test_redundant_proposals_always_rejected_and_skip_offer_counts(self):
-        state = new_state(2, 0)
+        state = reference_state(2, 0)
         mark_tried(state, 0, [0, 1])  # everything redundant from here
         rng = Rng(5)
         offers_before = list(state.stats.nonredundant_per_girl)
         for _ in range(100):
-            event = step(state, rng)
+            event = reference_step(state, rng)
             assert event.redundant and not event.accepted
         assert state.stats.nonredundant_per_girl == offers_before
         assert state.stats.redundant_proposals == 100
@@ -135,36 +136,6 @@ def assert_derived_counters(state):
     assert fresh == sum(stats.nonredundant_per_girl) == sum(state.ntried)
     assert state.ntried == [sum(row) for row in state.proposed]
     assert stats.nonredundant_per_girl == [sum(col) for col in zip(*state.proposed)]
-
-
-def assert_state_equals_reference(state, twin):
-    """`state` equals the reference state `twin` field for field, the pair
-    counts compared with the reference's full counts restricted to the
-    repeated pairs."""
-    stats = dataclasses.replace(
-        twin.stats, pair_counts=repeated_pairs(twin.stats.pair_counts)
-    )
-    assert state == dataclasses.replace(twin, stats=stats)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120), st.booleans()
-)
-def test_conservation_after_every_step(n, seed, steps, amnesia):
-    # Each step also equals the scalar reference step, event, state and
-    # stream alike.
-    state, twin = new_state(n, 0), new_state(n, 0)
-    rng, twin_rng = Rng(seed), Rng(seed)
-    for _ in range(steps):
-        if not amnesia and state.ntried[state.proposer] == n:
-            break
-        event = step(state, rng, amnesia=amnesia)
-        assert event == reference_step(twin, twin_rng, amnesia=amnesia)
-        assert_state_equals_reference(state, twin)
-        assert rng._state == twin_rng._state
-        assert sum(state.stats.proposals_per_boy) == state.stats.t
-        assert_derived_counters(state)
 
 
 def assert_run_matches_steps(outputs, fast, state):
@@ -235,6 +206,26 @@ def _keep_states(monkeypatch) -> list:
     return states
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120))
+def test_conservation_after_every_step(n, seed, steps):
+    # `run` capped at each t <= steps equals the first t proposals of one
+    # reference replay: stats, draws and stream alike.
+    girl = seed % n
+    state, rng = reference_state(n, girl), Rng(seed)
+    for t in range(1, steps + 1):
+        reference_step(state, rng)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            streams = _keep_streams(monkeypatch)
+            states = _keep_states(monkeypatch)
+            outputs, fast = run(n, girl, seed, stop="cap", max_proposals=t)
+        assert fast.t == t and fast.stopped == "cap"
+        assert_run_matches_steps(outputs, fast, state)
+        assert streams[0]._state == rng._state
+        assert sum(fast.proposals_per_boy) == t
+        assert_derived_counters(states[0])
+
+
 @pytest.mark.parametrize(
     "n,seed,stop,cap",
     [
@@ -264,36 +255,34 @@ class TestForcedRejection:
     the second block (draws 24 to 71), and on the first and the last draw
     of the second block."""
 
+    # Each id ends in "True", the chain's one proposal rule, as it did when
+    # the cases also ran a memoryful variant; so each case keeps its id.
     @pytest.mark.parametrize(
-        "j,stop,cap,amnesia",
+        "j,stop,cap",
         [
-            (0, "natural", None, True),
-            (0, "natural", None, False),
-            (8, "natural", None, True),
-            (23, "cap", 60, True),
-            (24, "cap", 60, True),
-            (71, "cap", 90, True),
+            pytest.param(0, "natural", None, id="0-natural-None-True"),
+            pytest.param(8, "natural", None, id="8-natural-None-True"),
+            pytest.param(23, "cap", 60, id="23-cap-60-True"),
+            pytest.param(24, "cap", 60, id="24-cap-60-True"),
+            pytest.param(71, "cap", 90, id="71-cap-90-True"),
         ],
     )
-    def test_run_equals_step_replay(self, monkeypatch, j, stop, cap, amnesia):
+    def test_run_equals_step_replay(self, monkeypatch, j, stop, cap):
         n = 3
         seed = seed_with_top_draw(j)
         probe = Rng(seed)
         assert [probe.next_u64() for _ in range(j + 1)][-1] == 2**64 - 1
         streams = _keep_streams(monkeypatch)
-        outputs, fast = run(
-            n, 0, seed, stop=stop, max_proposals=cap, amnesia=amnesia
-        )
+        outputs, fast = run(n, 0, seed, stop=stop, max_proposals=cap)
 
-        state = new_state(n, 0)
+        state = reference_state(n, 0)
         rng = Rng(seed)
-        assert reference_run(state, rng, stop, cap, amnesia) == fast.stopped
+        assert reference_run(state, rng, stop, cap) == fast.stopped
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
-        if amnesia:
-            # The rejected draw is one more than proposals plus fresh ones.
-            fresh = fast.t - fast.redundant_proposals
-            assert rng._state == (seed + (fast.t + fresh + 1) * GOLDEN) % 2**64
+        # The rejected draw is one more than proposals plus fresh ones.
+        fresh = fast.t - fast.redundant_proposals
+        assert rng._state == (seed + (fast.t + fresh + 1) * GOLDEN) % 2**64
 
 
 def _draws_read(rng: Rng, seed: int) -> int:
@@ -302,7 +291,7 @@ def _draws_read(rng: Rng, seed: int) -> int:
 
 
 def _boundary_seed(stop: str, accepted: bool) -> tuple[int, int | None]:
-    """The first seed whose chain at n = 3 (girl 0, amnesia on) makes a
+    """The first seed whose chain at n = 3 (girl 0) makes a
     fresh proposal with its girl draw the last of the first block (8·n = 24
     draws) and its acceptance draw the first of the second; under "natural"
     that proposal exhausts the proposer, under "cap" it is the cap-th. The
@@ -312,7 +301,7 @@ def _boundary_seed(stop: str, accepted: bool) -> tuple[int, int | None]:
     n = 3
     first = 8 * n
     for seed in range(100_000):
-        state = new_state(n, 0)
+        state = reference_state(n, 0)
         rng = Rng(seed)
         while _draws_read(rng, seed) < first:
             if stop == "natural" and state.ntried[state.proposer] == n:
@@ -348,7 +337,7 @@ class TestBlockBoundary:
         streams = _keep_streams(monkeypatch)
         outputs, fast = run(n, 0, seed, stop=stop, max_proposals=cap)
 
-        state = new_state(n, 0)
+        state = reference_state(n, 0)
         rng = Rng(seed)
         assert reference_run(state, rng, stop, cap) == fast.stopped == stop
         assert_run_matches_steps(outputs, fast, state)
@@ -371,7 +360,7 @@ def _block_ends(n: int) -> list[int]:
     return ends
 
 
-def _aimed_run(n, start, stop, block, gap, amnesia):
+def _aimed_run(n, start, stop, block, gap):
     """(seed, cap, draws) for the first seed from `start` whose reference
     run at n, girl seed % n, ends `gap` draws past a block end of `run`.
 
@@ -384,19 +373,17 @@ def _aimed_run(n, start, stop, block, gap, amnesia):
     """
     ends = _block_ends(n)
     for seed in range(start, start + 5000):
-        state = new_state(n, seed % n, track_pairs=False, track_runs=False)
+        state = reference_state(n, seed % n, track_pairs=False, track_runs=False)
         rng = Rng(seed)
         if stop == "natural":
-            reference_run(state, rng, "natural", amnesia=amnesia)
+            reference_run(state, rng, "natural")
             draws = _draws_read(rng, seed)
             if draws - gap in ends:
                 return seed, None, draws
             continue
         target = ends[block] + gap
         while _draws_read(rng, seed) < target:
-            if not amnesia and state.ntried[state.proposer] == n:
-                break
-            reference_step(state, rng, amnesia=amnesia)
+            reference_step(state, rng)
         if _draws_read(rng, seed) == target:
             return seed, state.stats.t, target
     return None
@@ -409,31 +396,28 @@ def _aimed_run(n, start, stop, block, gap, amnesia):
     stop=st.sampled_from(["natural", "cap"]),
     block=st.integers(0, 2),
     gap=st.integers(0, 1),
-    amnesia=st.booleans(),
     track_pairs=st.booleans(),
     track_runs=st.booleans(),
 )
-def test_stops_aimed_at_block_ends(
-    n, start, stop, block, gap, amnesia, track_pairs, track_runs
-):
+def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track_pairs, track_runs):
     # The stop falls on a block end of the kernel, or one draw past it, so
     # that an offer is pending across the refill; `run` must still equal
     # the reference replay and end the stream where the scalar draws would.
     assume(stop == "cap" or n >= 2)
-    aimed = _aimed_run(n, start, stop, block, gap, amnesia)
+    aimed = _aimed_run(n, start, stop, block, gap)
     assume(aimed is not None)
     seed, cap, draws = aimed
     if cap is not None:
         assert min(8 * n, 8 * cap, 2048) == 8 * n
     girl = seed % n
-    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    state = reference_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
     rng = Rng(seed)
-    stopped = reference_run(state, rng, stop, cap, amnesia)
+    stopped = reference_run(state, rng, stop, cap)
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
         states = _keep_states(monkeypatch)
         outputs, fast = run(
-            n, girl, seed, stop=stop, max_proposals=cap, amnesia=amnesia,
+            n, girl, seed, stop=stop, max_proposals=cap,
             track_pairs=track_pairs, track_runs=track_runs,
         )
     assert fast.stopped == stopped
@@ -450,33 +434,31 @@ def test_stops_aimed_at_block_ends(
     cap_rule=st.sampled_from(["none", "fixed", "at_exhaustion"]),
     fixed_cap=st.integers(1, 300),
     shift=st.integers(-1, 1),
-    amnesia=st.booleans(),
     track_pairs=st.booleans(),
     track_runs=st.booleans(),
 )
 def test_run_equals_reference_replay(
-    n, seed, stop, cap_rule, fixed_cap, shift, amnesia, track_pairs, track_runs
+    n, seed, stop, cap_rule, fixed_cap, shift, track_pairs, track_runs
 ):
     # "at_exhaustion" puts the cap one proposal before, at or after the
     # first time the proposer has tried every girl, where the stop rules
     # meet and their order decides which one fires.
     girl = seed % n
     if cap_rule == "at_exhaustion":
-        probe = new_state(n, girl, track_pairs=False, track_runs=False)
-        reference_run(probe, Rng(seed), "natural", amnesia=amnesia)
+        probe = reference_state(n, girl, track_pairs=False, track_runs=False)
+        reference_run(probe, Rng(seed), "natural")
         cap = max(1, probe.stats.t + shift)
     elif cap_rule == "fixed" or stop == "cap":
         cap = fixed_cap
     else:
         cap = None
-    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    state = reference_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
     rng = Rng(seed)
     args = dict(
-        stop=stop, max_proposals=cap, amnesia=amnesia,
-        track_pairs=track_pairs, track_runs=track_runs,
+        stop=stop, max_proposals=cap, track_pairs=track_pairs, track_runs=track_runs
     )
     try:
-        stopped = reference_run(state, rng, stop, cap, amnesia)
+        stopped = reference_run(state, rng, stop, cap)
     except RuntimeError:
         with pytest.raises(RuntimeError, match="safety limit"):
             run(n, girl, seed, **args)
@@ -529,10 +511,10 @@ class TestStopRules:
             new_state(3, 3)
 
     def test_memory_mode_exhausted_proposer_rejected(self):
-        state = new_state(2, 0)
+        state = reference_state(2, 0)
         mark_tried(state, 0, [0, 1])
         with pytest.raises(ValueError):
-            step(state, Rng(1), amnesia=False)
+            reference_step(state, Rng(1), amnesia=False)
 
 
 def test_first_output_lands_inside_collector_window():
@@ -570,17 +552,19 @@ def test_identity_holds_without_any_output():
 
 
 def test_memoryful_variant_same_output_distribution():
-    # Proposing uniformly over untried girls only must give the same
-    # output-count distribution as uniform proposing with redundant repeats.
+    # Proposing uniformly over untried girls only (the reference's
+    # memoryful variant) must give the same output-count distribution as
+    # the chain's uniform proposing with redundant repeats.
     trials = 20_000
-    amnesia = Counter()
+    chain = Counter()
     memory = Counter()
     for i in range(trials):
-        outs_a, _ = run(3, 0, 600_000 + i, stop="natural", amnesia=True)
-        amnesia[len(outs_a)] += 1
-        outs_m, _ = run(3, 0, 700_000 + i, stop="natural", amnesia=False)
-        memory[len(outs_m)] += 1
-    assert tv_distance(amnesia, memory, trials, trials) <= 0.05
+        outs_a, _ = run(3, 0, 600_000 + i, stop="natural")
+        chain[len(outs_a)] += 1
+        state = reference_state(3, 0)
+        reference_run(state, Rng(700_000 + i), "natural", amnesia=False)
+        memory[len(state.stats.outputs)] += 1
+    assert tv_distance(chain, memory, trials, trials) <= 0.05
 
 
 class TestAudit:
