@@ -23,7 +23,7 @@ function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,7 @@ class TailBound:
     log_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "r": self.r,
-            "x": self.x,
-            "value": self.value,
-            "log_value": self.log_value,
-        }
+        return asdict(self)
 
 
 def tail_bound(pgf: Pgf, direction: str, r: float, x: float) -> TailBound:
@@ -255,19 +249,7 @@ class HusbandCountEnvelope:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "c": self.c,
-            "C": self.C,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "lower": self.lower,
-            "upper": self.upper,
-            "limit_lower": self.limit_lower,
-            "limit_upper": self.limit_upper,
-            "fresh_proposal_floor": self.fresh_proposal_floor,
-            "first_output_window": self.first_output_window,
-            "pre_output_proposal_ceiling": self.pre_output_proposal_ceiling,
-            "pre_output_acceptance_ceiling": self.pre_output_acceptance_ceiling,
+            **asdict(self),
             "note": "pre_output_acceptance_ceiling is a leading-order rate; "
             "its additive constant is unspecified",
         }

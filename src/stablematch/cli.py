@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -17,7 +17,7 @@ from . import instance as instance_mod
 from .harness import ConfigError, ExperimentConfig, run_experiment, write_outputs
 from .matching import Matching, find_blocking_pairs, stable_husbands
 from .oracle import OracleScaleError, enumerate_stable
-from .random_model import audit_window_stats, run as run_process
+from .random_model import audit_window, audit_window_stats, run as run_process
 
 GIRL_LETTERS = "ABCD"
 BOY_LETTERS = "WXYZ"
@@ -65,16 +65,7 @@ def _cmd_husbands(args: argparse.Namespace) -> int:
         "matchings": [list(m.husband_of) for m in enum.matchings],
     }
     if args.trace:
-        doc["trace"] = [
-            {
-                "kind": e.kind,
-                "time": e.time,
-                "boy": e.boy,
-                "girl": e.girl,
-                "accepted": e.accepted,
-            }
-            for e in enum.trace or []
-        ]
+        doc["trace"] = [asdict(e) for e in enum.trace or []]
     if _letters(inst):
         doc["display"] = {
             "girl": GIRL_LETTERS[args.girl],
@@ -127,7 +118,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"--audit runs a window capped at floor(n^(1+delta)) proposals; "
                 f"it cannot take {flag}"
             )
-        expected = math.floor(args.n ** (1 + args.delta))
+        expected = audit_window(args.n, args.delta)
         if cap is None:
             stop, cap = "cap", expected
         elif cap != expected:

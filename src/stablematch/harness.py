@@ -39,7 +39,8 @@ from typing import Callable, NamedTuple
 from . import bounds as _bounds
 from .instance import generate_uniform
 from .matching import stable_husbands
-from .random_model import _acceptance_limit, audit_window_stats, run as run_process
+from .random_model import _acceptance_limit, audit_window, audit_window_stats
+from .random_model import run as run_process
 from .rng import Rng, derive_seed, mix64
 
 CSV_COLUMNS = (
@@ -214,16 +215,6 @@ class TrialResult(NamedTuple):
     pre_output_acceptances: int
     elapsed_us: int
 
-    def row(self) -> list:
-        return [
-            self.trial,
-            self.seed,
-            self.husband_count,
-            self.first_output_time if self.first_output_time is not None else "",
-            self.pre_output_acceptances,
-            self.elapsed_us,
-        ]
-
 
 def summarize(values: list, envelope: tuple[float, float] | None = None) -> dict:
     """Order-independent summary statistics of numeric trial outcomes.
@@ -291,18 +282,14 @@ def _husband_count_trial(args: tuple) -> TrialResult:
     if method == "a":
         enum = stable_husbands(generate_uniform(n, seed), girl)
         return _row(trial, seed, start, enum.husbands, enum)
-    outputs, stats = run_process(
-        n, girl, seed, stop="natural", track_pairs=False, track_runs=False
-    )
+    outputs, stats = run_process(n, girl, seed, stop="natural", track=False)
     return _row(trial, seed, start, outputs, stats)
 
 
 def _coupon_trial(args: tuple) -> TrialResult:
     trial, seed, n, girl = args
     start = time.perf_counter_ns()
-    outputs, stats = run_process(
-        n, girl, seed, stop="first_output", track_pairs=False, track_runs=False
-    )
+    outputs, stats = run_process(n, girl, seed, stop="first_output", track=False)
     return _row(trial, seed, start, outputs, stats)
 
 
@@ -411,7 +398,7 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list
 
 def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     delta = config.params["delta"]
-    cap = math.floor(n ** (1 + delta))
+    cap = audit_window(n, delta)
     seeds = _trial_seeds(config, n)
     args = [(i, s, n, config.girl, delta, cap) for i, s in enumerate(seeds)]
     outcomes = _map_trials(_audit_trial, args, config.workers)
@@ -476,7 +463,8 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]
         "expected_mean": h_m,
         "expected_variance": expected_var,
         "stderr": stderr,
-        "mean_error_in_stderr": (mean - h_m) / stderr,
+        # At m = 1 every count is 1 = H_1, and the variance is 0.
+        "mean_error_in_stderr": (mean - h_m) / stderr if stderr else 0.0,
         "tail_threshold": threshold,
         "tail_frequency": tail_freq,
         "tail_bound": bound.to_dict(),
@@ -641,8 +629,7 @@ def write_outputs(
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for row in rows[i * per_block : (i + 1) * per_block]:
-                writer.writerow(row.row())
+            writer.writerows(rows[i * per_block : (i + 1) * per_block])
         written.append(path)
         if config.plot_data:
             block = report["blocks"][i]

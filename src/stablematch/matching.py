@@ -259,8 +259,6 @@ def stable_husbands(
         else:
             proposer = previous
 
-    raw_pre = acceptances_by_girl - (len(husbands) - 1) if husbands else 0
-    pre_output = raw_pre - 1 if husbands else acceptances_by_girl
     return HusbandEnumeration(
         girl=girl,
         husbands=husbands,
@@ -269,5 +267,5 @@ def stable_husbands(
         proposal_count=t,
         first_output_time=first_output_time,
         acceptances_by_girl=acceptances_by_girl,
-        pre_output_acceptances=pre_output,
+        pre_output_acceptances=acceptances_by_girl - len(husbands),
     )

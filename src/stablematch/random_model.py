@@ -80,10 +80,9 @@ class ProcessState:
     stats: RunStats
 
 
-def new_state(
-    n: int, girl: int, track_pairs: bool = True, track_runs: bool = True
-) -> ProcessState:
-    """Fresh state with boy 0 introduced as the first proposer."""
+def new_state(n: int, girl: int, track: bool = True) -> ProcessState:
+    """Fresh state with boy 0 introduced as the first proposer; with track,
+    its stats record run_lengths and pair_counts, which the audit reads."""
     if n < 1:
         raise ValueError("process size must be at least 1")
     if not 0 <= girl < n:
@@ -95,8 +94,8 @@ def new_state(
         nonredundant_per_girl=[0] * n,
         proposals_per_boy=[0] * n,
         runs_per_boy=[1] + [0] * (n - 1),
-        run_lengths=[] if track_runs else None,
-        pair_counts=[dict() for _ in range(n)] if track_pairs else None,
+        run_lengths=[] if track else None,
+        pair_counts=[dict() for _ in range(n)] if track else None,
     )
     return ProcessState(
         n=n,
@@ -147,7 +146,7 @@ def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
     leaves the pass for the checks only if the proposer has tried every
     girl, the cap is reached or a husband was emitted. A run's proposal
     count is added to its boy once, at the run's end or at the stop, as t
-    minus the run's start; with run tracking, the run in progress at the
+    minus the run's start; with tracking, the run in progress at the
     stop is recorded as observed so far.
 
     A fresh proposal writes only t, the tried byte, the tried count and
@@ -305,8 +304,7 @@ def run(
     seed: int,
     stop: str = "natural",
     max_proposals: int | None = None,
-    track_pairs: bool = True,
-    track_runs: bool = True,
+    track: bool = True,
 ) -> tuple[list[tuple[int, int]], RunStats]:
     """Run the chain from a fresh state until the stop rule fires.
 
@@ -317,15 +315,16 @@ def run(
       "first_output" the first husband has just been emitted.
 
     max_proposals is required for "cap" and acts as a safety limit for the
-    other rules when given. Returns (outputs, stats); outputs are
-    (boy, time) pairs.
+    other rules when given. track records stats.run_lengths and
+    stats.pair_counts, which only `audit_window_stats` reads; without it
+    both are None. Returns (outputs, stats); outputs are (boy, time) pairs.
     """
     if stop not in ("natural", "cap", "first_output"):
         raise ValueError(f"unknown stop rule {stop!r}")
     if stop == "cap":
         if max_proposals is None or max_proposals < 1:
             raise ValueError("stop='cap' requires max_proposals >= 1")
-    state = new_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    state = new_state(n, girl, track=track)
     stats = state.stats
     stats.stopped = _advance(state, Rng(seed), stop, max_proposals)
     return list(stats.outputs), stats
@@ -344,11 +343,7 @@ class AuditCheck:
 
     def to_dict(self) -> dict:
         return {
-            "name": self.name,
-            "passed": self.passed,
-            "lower": self.lower,
-            "upper": self.upper,
-            "worst": self.worst,
+            **vars(self),
             "violation_count": len(self.violations),
             "violations": list(self.violations[:20]),
         }
@@ -365,13 +360,12 @@ class AuditReport:
     checks: tuple[AuditCheck, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "cap": self.cap,
-            "passed": self.passed,
-            "checks": {c.name: c.to_dict() for c in self.checks},
-        }
+        return {**vars(self), "checks": {c.name: c.to_dict() for c in self.checks}}
+
+
+def audit_window(n: int, delta: float) -> int:
+    """The proposal count of the audit window, floor(n^(1+delta))."""
+    return math.floor(n ** (1 + delta))
 
 
 def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
@@ -393,13 +387,13 @@ def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
       girl_fresh_floor       every girl received at least nd/(2*log n)
                              fresh proposals
 
-    Requires stats from a run capped at exactly floor(n^(1+delta)) proposals
-    with pair and run tracking enabled. Failures are reported with the
+    Requires stats from a run capped at exactly audit_window(n, delta)
+    proposals with tracking enabled. Failures are reported with the
     offending entity, never raised.
     """
     if stats.n != n:
         raise ValueError(f"stats cover n={stats.n}, audit requested n={n}")
-    cap = math.floor(n ** (1 + delta))
+    cap = audit_window(n, delta)
     if stats.t != cap:
         raise ValueError(
             f"cap mismatch: stats cover t={stats.t} proposals, expected "
@@ -420,97 +414,64 @@ def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
     pair_hi = clamp(log_n)
     fresh_floor = clamp(0.5 * nd / log_n)
 
-    checks: list[AuditCheck] = []
-
-    def add(name, lower, upper, worst, violations):
-        checks.append(
-            AuditCheck(
-                name=name,
-                passed=not violations,
-                lower=lower,
-                upper=upper,
-                worst=float(worst),
-                violations=tuple(violations),
-            )
-        )
-
-    # Each check takes its extreme with C-level reductions and builds its
-    # violation list, in entity order, only when the extreme crosses the
-    # bound.
     counts = stats.proposals_per_girl
-    lo, hi = min(counts), max(counts)
-    bad = []
-    if lo < girl_lo or hi > girl_hi:
-        bad = [
+    fresh = stats.nonredundant_per_girl
+    starts = stats.runs_per_boy
+    per_boy = stats.proposals_per_boy
+    runs = stats.run_lengths
+    pairs = stats.pair_counts
+    # One row per check: its name and bounds, the per-entity values whose
+    # extreme it reports, that extreme for an empty list, and its
+    # violations in entity order. The pair dicts hold repeated pairs only;
+    # with none, every pair tried was proposed to once, and a capped run
+    # has tried at least one.
+    pair_repeats = chain.from_iterable(map(dict.values, pairs))
+    table = (
+        ("girl_proposal_window", girl_lo, girl_hi, counts, 0, lambda: [
             {"girl": j, "count": c}
             for j, c in enumerate(counts)
             if not girl_lo <= c <= girl_hi
-        ]
-    add("girl_proposal_window", girl_lo, girl_hi, hi if hi > girl_hi else lo, bad)
-
-    worst = max(stats.runs_per_boy)
-    bad = []
-    if worst > run_starts_hi:
-        bad = [
-            {"boy": b, "runs": r}
-            for b, r in enumerate(stats.runs_per_boy)
-            if r > run_starts_hi
-        ]
-    add("boy_run_starts", None, run_starts_hi, worst, bad)
-
-    worst = max(map(itemgetter(2), stats.run_lengths), default=0)
-    bad = []
-    if worst > run_len_hi:
-        bad = [
-            {"boy": b, "fresh_length": fresh}
-            for b, total, fresh in stats.run_lengths
-            if fresh > run_len_hi
-        ]
-    add("run_fresh_length", None, run_len_hi, worst, bad)
-
-    worst = max(map(itemgetter(1), stats.run_lengths), default=0)
-    bad = []
-    if worst > run_len_hi:
-        bad = [
-            {"boy": b, "length": total}
-            for b, total, fresh in stats.run_lengths
-            if total > run_len_hi
-        ]
-    add("run_total_length", None, run_len_hi, worst, bad)
-
-    worst = max(stats.proposals_per_boy)
-    bad = []
-    if worst > boy_total_hi:
-        bad = [
-            {"boy": b, "proposals": c}
-            for b, c in enumerate(stats.proposals_per_boy)
-            if c > boy_total_hi
-        ]
-    add("boy_total_proposals", None, boy_total_hi, worst, bad)
-
-    # The pair dicts hold repeated pairs only; with none, every pair tried
-    # was proposed to once, and a capped run has tried at least one.
-    worst = max(chain.from_iterable(map(dict.values, stats.pair_counts)), default=1)
-    bad = []
-    if worst > pair_hi:
-        bad = [
+        ]),
+        ("boy_run_starts", None, run_starts_hi, starts, 0, lambda: [
+            {"boy": b, "runs": r} for b, r in enumerate(starts) if r > run_starts_hi
+        ]),
+        ("run_fresh_length", None, run_len_hi, map(itemgetter(2), runs), 0, lambda: [
+            {"boy": b, "fresh_length": f} for b, _, f in runs if f > run_len_hi
+        ]),
+        ("run_total_length", None, run_len_hi, map(itemgetter(1), runs), 0, lambda: [
+            {"boy": b, "length": total} for b, total, _ in runs if total > run_len_hi
+        ]),
+        ("boy_total_proposals", None, boy_total_hi, per_boy, 0, lambda: [
+            {"boy": b, "proposals": c} for b, c in enumerate(per_boy) if c > boy_total_hi
+        ]),
+        ("pair_repeat_proposals", None, pair_hi, pair_repeats, 1, lambda: [
             {"boy": b, "girl": j, "count": c}
-            for b, pc in enumerate(stats.pair_counts)
+            for b, pc in enumerate(pairs)
             for j, c in sorted(pc.items())
             if c > pair_hi
-        ]
-    add("pair_repeat_proposals", None, pair_hi, worst, bad)
+        ]),
+        ("girl_fresh_floor", fresh_floor, None, fresh, 0, lambda: [
+            {"girl": j, "fresh_count": c} for j, c in enumerate(fresh) if c < fresh_floor
+        ]),
+    )
 
-    fresh = stats.nonredundant_per_girl
-    worst = min(fresh)
-    bad = []
-    if worst < fresh_floor:
-        bad = [
-            {"girl": j, "fresh_count": c}
-            for j, c in enumerate(fresh)
-            if c < fresh_floor
-        ]
-    add("girl_fresh_floor", fresh_floor, None, worst, bad)
+    # Each check takes its extreme with a C-level reduction and builds its
+    # violation list only when the extreme crosses a bound. Only the girl
+    # window has two bounds (its values are a list, read twice): it reports
+    # its maximum when that is too high, and its minimum otherwise.
+    checks = []
+    for name, lower, upper, values, empty, violations in table:
+        if upper is None:
+            worst = min(values, default=empty)
+            crossed = worst < lower
+        else:
+            worst = max(values, default=empty)
+            crossed = worst > upper
+            if lower is not None and not crossed:
+                worst = min(values, default=empty)
+                crossed = worst < lower
+        bad = violations() if crossed else ()
+        checks.append(AuditCheck(name, not bad, lower, upper, float(worst), tuple(bad)))
 
     return AuditReport(
         n=n,

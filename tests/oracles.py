@@ -282,11 +282,9 @@ class ReferenceState(ProcessState):
     run_fresh: int = 0
 
 
-def reference_state(
-    n: int, girl: int, track_pairs: bool = True, track_runs: bool = True
-) -> ReferenceState:
+def reference_state(n: int, girl: int, track: bool = True) -> ReferenceState:
     """The fresh state of `new_state`, with boy 0 proposing."""
-    return ReferenceState(**vars(new_state(n, girl, track_pairs, track_runs)))
+    return ReferenceState(**vars(new_state(n, girl, track)))
 
 
 def reference_step(

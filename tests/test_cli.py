@@ -537,6 +537,8 @@ def run_generated(root, argv: list[str], config) -> int:
            "--eps", "0.05"], None))
 @example((["experiment", "--kind", "acceptance_dist", "--n", "1", "--trials", "2",
            "--seed", "1", "--param", "m=3", "--param", "eps=1e400"], None))
+@example((["experiment", "--kind", "acceptance_dist", "--n", "1", "--trials", "3",
+           "--seed", "1", "--param", "m=1"], None))
 @example((["experiment", "--config", "@config.json"],
           {"kind": "equivalence", "n": 2, "trials": 2, "master_seed": 1,
            "gate": {"max_tv": float("nan")}}))

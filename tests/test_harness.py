@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -189,7 +190,7 @@ class TestTheoremExperiment:
             ExperimentConfig.from_dict({**base, "workers": 2})
         )
         assert report_json(report1) == report_json(report2)
-        assert [r.row()[:-1] for r in rows1] == [r.row()[:-1] for r in rows2]
+        assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
 
     def test_size_sweep(self):
         config = ExperimentConfig(
@@ -388,8 +389,10 @@ def test_equivalence_campaign_starts_one_pool(monkeypatch):
 
 
 def test_trial_result_row_shape():
-    row = TrialResult(0, 7, 3, None, 1, 12).row()
-    assert row == [0, 7, 3, "", 1, 12]
+    # A row is written as the tuple itself; csv writes None as an empty field.
+    out = io.StringIO()
+    csv.writer(out).writerow(TrialResult(0, 7, 3, None, 1, 12))
+    assert out.getvalue() == "0,7,3,,1,12\r\n"
 
 
 NUMPY_PROBE = """

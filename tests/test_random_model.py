@@ -373,7 +373,7 @@ def _aimed_run(n, start, stop, block, gap):
     """
     ends = _block_ends(n)
     for seed in range(start, start + 5000):
-        state = reference_state(n, seed % n, track_pairs=False, track_runs=False)
+        state = reference_state(n, seed % n, track=False)
         rng = Rng(seed)
         if stop == "natural":
             reference_run(state, rng, "natural")
@@ -396,10 +396,9 @@ def _aimed_run(n, start, stop, block, gap):
     stop=st.sampled_from(["natural", "cap"]),
     block=st.integers(0, 2),
     gap=st.integers(0, 1),
-    track_pairs=st.booleans(),
-    track_runs=st.booleans(),
+    track=st.booleans(),
 )
-def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track_pairs, track_runs):
+def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track):
     # The stop falls on a block end of the kernel, or one draw past it, so
     # that an offer is pending across the refill; `run` must still equal
     # the reference replay and end the stream where the scalar draws would.
@@ -410,16 +409,13 @@ def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track_pairs, trac
     if cap is not None:
         assert min(8 * n, 8 * cap, 2048) == 8 * n
     girl = seed % n
-    state = reference_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    state = reference_state(n, girl, track=track)
     rng = Rng(seed)
     stopped = reference_run(state, rng, stop, cap)
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
         states = _keep_states(monkeypatch)
-        outputs, fast = run(
-            n, girl, seed, stop=stop, max_proposals=cap,
-            track_pairs=track_pairs, track_runs=track_runs,
-        )
+        outputs, fast = run(n, girl, seed, stop=stop, max_proposals=cap, track=track)
     assert fast.stopped == stopped
     assert_run_matches_steps(outputs, fast, state)
     assert_derived_counters(states[0])
@@ -434,29 +430,24 @@ def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track_pairs, trac
     cap_rule=st.sampled_from(["none", "fixed", "at_exhaustion"]),
     fixed_cap=st.integers(1, 300),
     shift=st.integers(-1, 1),
-    track_pairs=st.booleans(),
-    track_runs=st.booleans(),
+    track=st.booleans(),
 )
-def test_run_equals_reference_replay(
-    n, seed, stop, cap_rule, fixed_cap, shift, track_pairs, track_runs
-):
+def test_run_equals_reference_replay(n, seed, stop, cap_rule, fixed_cap, shift, track):
     # "at_exhaustion" puts the cap one proposal before, at or after the
     # first time the proposer has tried every girl, where the stop rules
     # meet and their order decides which one fires.
     girl = seed % n
     if cap_rule == "at_exhaustion":
-        probe = reference_state(n, girl, track_pairs=False, track_runs=False)
+        probe = reference_state(n, girl, track=False)
         reference_run(probe, Rng(seed), "natural")
         cap = max(1, probe.stats.t + shift)
     elif cap_rule == "fixed" or stop == "cap":
         cap = fixed_cap
     else:
         cap = None
-    state = reference_state(n, girl, track_pairs=track_pairs, track_runs=track_runs)
+    state = reference_state(n, girl, track=track)
     rng = Rng(seed)
-    args = dict(
-        stop=stop, max_proposals=cap, track_pairs=track_pairs, track_runs=track_runs
-    )
+    args = dict(stop=stop, max_proposals=cap, track=track)
     try:
         stopped = reference_run(state, rng, stop, cap)
     except RuntimeError:
@@ -526,10 +517,7 @@ def test_first_output_lands_inside_collector_window():
     cap = math.floor(n * math.log(n) * math.log(math.log(n)))
     assert cap == 13_350
     for seed in (1, 2, 3):
-        outputs, stats = run(
-            n, 0, seed, stop="cap", max_proposals=cap,
-            track_pairs=False, track_runs=False,
-        )
+        outputs, stats = run(n, 0, seed, stop="cap", max_proposals=cap, track=False)
         assert stats.first_output_time is not None
         assert stats.first_output_time <= cap
         assert outputs[0][1] == stats.first_output_time
@@ -615,7 +603,7 @@ class TestAudit:
 
     def test_requires_tracking(self):
         cap = int(4**1.3)
-        _, stats = run(4, 0, 7, stop="cap", max_proposals=cap, track_pairs=False)
+        _, stats = run(4, 0, 7, stop="cap", max_proposals=cap, track=False)
         with pytest.raises(ValueError, match="tracking"):
             audit_window_stats(stats, 4, 0.3)
 
