@@ -218,6 +218,13 @@ def harmonic_second(m: int) -> float:
 _EULER_GAMMA = 0.5772156649015329
 
 
+def first_output_window(n: float) -> int | None:
+    """floor(n ln n ln ln n), the proposal window of the first output (a
+    coupon-collector time); None where ln ln n <= 0, that is for n <= e."""
+    ln_n = math.log(n)
+    return math.floor(n * ln_n * math.log(ln_n)) if ln_n > 1 else None
+
+
 @dataclass(frozen=True)
 class HusbandCountEnvelope:
     """Derived quantities framing the expected stable-husband count.
@@ -284,13 +291,11 @@ def husband_count_envelope(
             f"infeasible: 1 + epsilon = {1 + epsilon} must be below C = {C}"
         )
     ln_n = math.log(n)
-    lnln_n = math.log(ln_n) if ln_n > 0 else None
-    window: int | None = None
+    window = first_output_window(n)
     proposal_ceiling: float | None = None
     acceptance_ceiling: float | None = None
-    if lnln_n is not None and lnln_n > 0:
-        window = math.floor(n * ln_n * lnln_n)
-        m = ln_n * lnln_n**2
+    if window is not None:
+        m = ln_n * math.log(ln_n) ** 2
         proposal_ceiling = m
         if m > 1:
             acceptance_ceiling = m / math.log(m) ** 3

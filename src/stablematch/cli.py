@@ -99,33 +99,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.audit and args.delta is None:
-        raise ConfigError("--audit requires --delta")
-    if args.audit and not 0 < args.delta < 0.5:
-        raise ConfigError(f"--audit requires --delta in (0, 1/2), got {args.delta}")
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    if args.cap is not None:
-        stop, cap = "cap", args.cap
-    elif args.first_output:
-        stop, cap = "first_output", None
+    audited = args.audit is not None
+    # The parser's stop group admits at most one of the four rules.
+    cap = audit_window(args.n, args.audit) if audited else args.cap
+    if cap is not None:
+        stop = "cap"
     else:
-        stop, cap = "natural", None
-    if args.audit:
-        if args.natural or args.first_output:
-            flag = "--natural" if args.natural else "--first-output"
-            raise ConfigError(
-                f"--audit runs a window capped at floor(n^(1+delta)) proposals; "
-                f"it cannot take {flag}"
-            )
-        expected = audit_window(args.n, args.delta)
-        if cap is None:
-            stop, cap = "cap", expected
-        elif cap != expected:
-            raise ConfigError(
-                f"--audit requires the cap floor(n^(1+delta)) = {expected}, got {cap}"
-            )
-    outputs, stats = run_process(args.n, args.girl, args.seed, stop=stop, max_proposals=cap)
+        stop = "first_output" if args.first_output else "natural"
+    outputs, stats = run_process(args.n, args.girl, args.seed, stop, cap, audited)
     doc = {
         "n": args.n,
         "girl": args.girl,
@@ -139,8 +122,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "acceptances_by_girl": stats.acceptances_by_girl,
         "pre_output_acceptances": stats.pre_output_acceptances,
     }
-    if args.audit:
-        doc["audit"] = audit_window_stats(stats, args.n, args.delta).to_dict()
+    if audited:
+        doc["audit"] = audit_window_stats(stats, args.n, args.audit).to_dict()
     _emit(doc)
     return 0
 
@@ -246,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cap", type=int, help="stop after this many proposals")
     group.add_argument("--natural", action="store_true", help="default stop rule")
     group.add_argument("--first-output", dest="first_output", action="store_true")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--audit", action="store_true")
+    group.add_argument(
+        "--audit", type=float, metavar="DELTA",
+        help="stop after floor(n^(1+DELTA)) proposals and audit them",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bounds", help="evaluate or optimize a tail bound")

@@ -136,6 +136,8 @@ def validate_config(config: ExperimentConfig) -> None:
     ns = config.n if isinstance(config.n, list) else [config.n]
     if not ns or any(not _is_int(n) or n < 1 for n in ns):
         raise ConfigError(f"n must be a positive integer or list of them, got {config.n}")
+    if len(set(ns)) != len(ns):
+        raise ConfigError(f"n must list each size once, got {config.n}")
     if not _is_int(config.trials) or config.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {config.trials}")
     if not _is_int(config.master_seed):
@@ -167,8 +169,13 @@ def validate_config(config: ExperimentConfig) -> None:
             except ValueError as exc:
                 raise ConfigError(f"theorem parameters infeasible at n={n}: {exc}")
     if config.kind == "lemma_audit":
-        if p["delta"] is None or not 0 < p["delta"] < 0.5:
-            raise ConfigError("lemma_audit requires params.delta in (0, 1/2)")
+        if p["delta"] is None:
+            raise ConfigError("lemma_audit requires params.delta")
+        try:
+            for n in ns:
+                audit_window(n, p["delta"])
+        except ValueError as exc:
+            raise ConfigError(f"lemma_audit params.delta: {exc}")
     if config.kind == "acceptance_dist":
         if not _is_int(p["m"]) or p["m"] < 1:
             raise ConfigError("acceptance_dist requires integer params.m >= 1")
@@ -195,6 +202,8 @@ def _validate_gate(kind: str, spec: "_Kind", gate) -> None:
         pair = isinstance(value, (list, tuple)) and len(value) == 2
         if g.compare == "range" and not (pair and all(map(_is_number, value))):
             raise ConfigError(f"gate.{g.key} must be [lo, hi], got {value!r}")
+        if g.compare == "flag" and not isinstance(value, bool):
+            raise ConfigError(f"gate.{g.key} must be true or false, got {value!r}")
         if g.compare not in ("range", "flag") and not _is_number(value):
             raise ConfigError(f"gate.{g.key} must be a number, got {value!r}")
 
@@ -477,11 +486,7 @@ def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     args = [(i, s, n, config.girl) for i, s in enumerate(seeds)]
     results = _map_trials(_coupon_trial, args, config.workers)
     times = [r.first_output_time for r in results]
-    window = (
-        math.floor(n * math.log(n) * math.log(math.log(n)))
-        if n > 2 and math.log(math.log(n)) > 0
-        else None
-    )
+    window = _bounds.first_output_window(n)
     expected = n * _bounds.harmonic(n)
     mean = sum(times) / len(times)
     block = {

@@ -15,6 +15,10 @@ from .instance import PreferenceInstance
 from .matching import Matching
 
 
+# The largest n enumerated; the search grows like n!.
+MAX_N = 8
+
+
 class OracleScaleError(ValueError):
     """The instance is too large for factorial enumeration."""
 
@@ -27,15 +31,15 @@ class StableSet:
     husband_sets: tuple[frozenset[int], ...]
 
 
-def enumerate_stable(instance: PreferenceInstance, limit: int = 8) -> StableSet:
+def enumerate_stable(instance: PreferenceInstance) -> StableSet:
     """Every stable matching, found by pruned exhaustive search.
 
-    Raises OracleScaleError when n exceeds ``limit``.
+    Raises OracleScaleError when n exceeds MAX_N.
     """
     n = instance.n
-    if n > limit:
+    if n > MAX_N:
         raise OracleScaleError(
-            f"oracle scale exceeded: n={n} is over the enumeration limit {limit}"
+            f"oracle scale exceeded: n={n} is over the enumeration limit {MAX_N}"
         )
     girl_rank = instance.girl_rank
     boy_rank = instance.boy_rank

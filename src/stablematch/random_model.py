@@ -10,9 +10,10 @@ so its output stream is distributed exactly like that girl's stable
 husbands.
 
 The chain itself never halts (a boy who has tried every girl keeps making
-redundant proposals forever), so `run` adds stop rules: "natural" fires
-where the deterministic search would terminate, "cap" after a fixed number
-of proposals, "first_output" as soon as the first husband is emitted.
+redundant proposals forever), so each `run` has one stop rule: "natural"
+fires where the deterministic search would terminate, "cap" after a fixed
+number of proposals, "first_output" as soon as the first husband is
+emitted.
 
 States are mutable and confined to one worker each; aggregate RunStats
 across workers only after their runs complete.
@@ -131,23 +132,22 @@ def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
     `run`.
 
     stop is a stop rule of `run`; cap is the proposal count where "cap"
-    fires, and a safety limit for the other rules. Boy 0 proposes first,
-    with one boy introduced. Draws come from `Rng.block`, with
-    `randrange`'s rejection rule and `random`'s float (as the integer bound
+    fires, and None under the other rules. Boy 0 proposes first, with one
+    boy introduced. Draws come from `Rng.block`, with `randrange`'s
+    rejection rule and `random`'s float (as the integer bound
     `_acceptance_limit`), so each is the draw those calls would take. Blocks
     start small and double up to 2048, so short runs never compute a large
     block, and unread draws are handed back to the stream.
 
-    The stop rules are checked in a fixed order (first output, natural,
-    then cap), but only where one can newly hold and no offer is pending:
-    the loop reads every draw of a block in one pass, and a fresh proposal
-    leaves its offer count in k, which makes the next draw, in this block
-    or the next, its acceptance draw. Once that offer is resolved, the loop
-    leaves the pass for the checks only if the proposer has tried every
-    girl, the cap is reached or a husband was emitted. A run's proposal
-    count is added to its boy once, at the run's end or at the stop, as t
-    minus the run's start; with tracking, the run in progress at the
-    stop is recorded as observed so far.
+    The stop rule is checked only where it can newly hold and no offer is
+    pending: the loop reads every draw of a block in one pass, and a fresh
+    proposal leaves its offer count in k, which makes the next draw, in
+    this block or the next, its acceptance draw. Once that offer is
+    resolved, the loop leaves the pass for the check only if the proposer
+    has tried every girl, the cap is reached or a husband was emitted. A
+    run's proposal count is added to its boy once, at the run's end or at
+    the stop, as t minus the run's start; with tracking, the run in
+    progress at the stop is recorded as observed so far.
 
     A fresh proposal writes only t, the tried byte, the tried count and
     the girl's offer count (her entry in nonredundant_per_girl). Inside the
@@ -210,12 +210,8 @@ def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
                 fired = "natural"
                 break
             if t >= cap:
-                if stop == "cap":
-                    fired = "cap"
-                    break
-                raise RuntimeError(
-                    f"safety limit of {cap} proposals reached before stop rule {stop!r}"
-                )
+                fired = "cap"
+                break
         for u in it:
             if k:
                 # The acceptance draw of offer k.
@@ -314,16 +310,17 @@ def run(
       "cap"          exactly max_proposals proposals have been made;
       "first_output" the first husband has just been emitted.
 
-    max_proposals is required for "cap" and acts as a safety limit for the
-    other rules when given. track records stats.run_lengths and
+    max_proposals is required for "cap" and refused for the other rules,
+    which fire with probability 1. track records stats.run_lengths and
     stats.pair_counts, which only `audit_window_stats` reads; without it
     both are None. Returns (outputs, stats); outputs are (boy, time) pairs.
     """
     if stop not in ("natural", "cap", "first_output"):
         raise ValueError(f"unknown stop rule {stop!r}")
-    if stop == "cap":
-        if max_proposals is None or max_proposals < 1:
-            raise ValueError("stop='cap' requires max_proposals >= 1")
+    if stop == "cap" and (max_proposals is None or max_proposals < 1):
+        raise ValueError("stop='cap' requires max_proposals >= 1")
+    if stop != "cap" and max_proposals is not None:
+        raise ValueError(f"max_proposals applies to stop='cap' only, not {stop!r}")
     state = new_state(n, girl, track=track)
     stats = state.stats
     stats.stopped = _advance(state, Rng(seed), stop, max_proposals)
@@ -364,7 +361,9 @@ class AuditReport:
 
 
 def audit_window(n: int, delta: float) -> int:
-    """The proposal count of the audit window, floor(n^(1+delta))."""
+    """The audit window, floor(n^(1+delta)) proposals, for delta in (0, 1/2)."""
+    if not 0 < delta < 0.5:
+        raise ValueError(f"the audit requires delta in (0, 1/2), got {delta}")
     return math.floor(n ** (1 + delta))
 
 

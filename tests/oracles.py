@@ -438,10 +438,9 @@ def reference_run(
     """Step `state` with `reference_step` until a stop rule of
     `random_model.run` fires, and return the rule that fired.
 
-    Before each proposal the rules are tested in a fixed order: "natural"
-    when the proposer has tried every girl; then the cap, which is the
-    stop "cap" or, for any other rule, a RuntimeError; then, with amnesia
-    off, an exhausted proposer, which also stops as "natural". After each
+    Before each proposal, "natural" fires when the proposer has tried every
+    girl, and "cap" once `cap` proposals have been made; with amnesia off,
+    an exhausted proposer also stops the run, as "natural". After each
     accepted proposal that emits a husband, "first_output" fires.
     """
     n = state.n
@@ -449,10 +448,8 @@ def reference_run(
         exhausted = state.ntried[state.proposer] == n
         if stop == "natural" and exhausted:
             return "natural"
-        if cap is not None and state.stats.t >= cap:
-            if stop == "cap":
-                return "cap"
-            raise RuntimeError(f"safety limit of {cap} proposals reached")
+        if stop == "cap" and state.stats.t >= cap:
+            return "cap"
         if not amnesia and exhausted:
             return "natural"
         event = reference_step(state, rng, amnesia=amnesia)

@@ -26,6 +26,16 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def usage_error(capsys, *argv) -> str:
+    """stderr of a command line that argparse rejects with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
 class TestHusbands:
     def test_fixture(self, capsys, fixture_file):
         code, doc = run_cli(capsys, "husbands", "--instance", fixture_file, "--girl", "0")
@@ -122,8 +132,7 @@ class TestSimulate:
 
     def test_audit(self, capsys):
         code, doc = run_cli(
-            capsys,
-            "simulate", "--n", "16", "--seed", "3", "--delta", "0.3", "--audit",
+            capsys, "simulate", "--n", "16", "--seed", "3", "--audit", "0.3"
         )
         assert code == 0
         assert doc["proposals"] == math.floor(16**1.3)
@@ -138,28 +147,33 @@ class TestSimulate:
         }
 
     def test_audit_cap_mismatch(self, capsys):
-        code, _ = run_cli(
-            capsys,
-            "simulate", "--n", "16", "--seed", "3",
-            "--cap", "10", "--delta", "0.3", "--audit",
+        # --audit is a stop rule of its own, the cap floor(n^(1+DELTA)).
+        err = usage_error(
+            capsys, "simulate", "--n", "16", "--seed", "3", "--audit", "0.3",
+            "--cap", "10",
         )
-        assert code == 2
+        assert "not allowed with argument" in err
 
     @pytest.mark.parametrize("flag", ["--natural", "--first-output"])
     def test_audit_with_a_stop_flag(self, capsys, flag):
         # An audit always runs the capped window, so an explicit other stop
-        # rule is a named error rather than silently ignored.
-        code = main([
-            "simulate", "--n", "16", "--seed", "3", "--delta", "0.3", "--audit", flag,
-        ])
+        # rule is a usage error rather than silently ignored.
+        err = usage_error(
+            capsys, "simulate", "--n", "16", "--seed", "3", "--audit", "0.3", flag
+        )
+        assert flag in err
+
+    def test_audit_needs_delta(self, capsys):
+        err = usage_error(capsys, "simulate", "--n", "16", "--seed", "3", "--audit")
+        assert "--audit" in err
+
+    @pytest.mark.parametrize("delta", ["0.7", "nan"])
+    def test_audit_delta_outside_window(self, capsys, delta):
+        code = main(["simulate", "--n", "16", "--seed", "3", "--audit", delta])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and flag in captured.err
-
-    def test_audit_needs_delta(self, capsys):
-        code, _ = run_cli(capsys, "simulate", "--n", "16", "--seed", "3", "--audit")
-        assert code == 2
+        assert captured.err.startswith("error: ") and "delta in (0, 1/2)" in captured.err
 
     def test_first_output(self, capsys):
         code, doc = run_cli(
@@ -318,6 +332,13 @@ BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
              "params": {"m": True}},
             [],
         ),
+        (
+            {"kind": "acceptance_dist", "n": 1, "trials": 2, "master_seed": 1,
+             "params": {"m": 3}, "gate": {"tail_within_bound": "false"}},
+            [],
+        ),
+        ({**BASE_CONFIG, "n": [8, 8]}, []),
+        ({**BASE_CONFIG, "kind": "lemma_audit", "params": {"delta": 0.7}}, []),
     ],
     ids=[
         "param-c-string",
@@ -334,6 +355,9 @@ BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
         "out-dir-int",
         "plot-data-string",
         "m-bool",
+        "gate-flag-string",
+        "n-repeated",
+        "audit-delta-outside-window",
     ],
 )
 def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
@@ -472,9 +496,8 @@ def command_lines(draw):
             st.just(["--natural"]),
             st.just(["--first-output"]),
             _ints(-1, 60).map(lambda v: ["--cap", v]),
+            _floats().map(lambda v: ["--audit", v]),
         ))
-        argv += draw(_opt("--delta", _floats()))
-        argv += draw(st.sampled_from([[], ["--audit"]]))
     if command == "bounds":
         family = draw(st.sampled_from(["binom", "accept", "poisson"]))
         argv += ["--pgf", family, *draw(st.lists(_ints(-1, 40), min_size=1, max_size=3))]
@@ -524,10 +547,10 @@ def run_generated(root, argv: list[str], config) -> int:
 )
 @given(command_lines())
 # Tracebacks or NaN/Infinity output the generated command lines found.
-@example((["simulate", "--n", "4", "--seed", "0", "--delta", "inf", "--audit"], None))
-@example((["simulate", "--n", "0", "--seed", "0", "--delta", "-1.5", "--audit"], None))
-@example((["simulate", "--n", "-1", "--seed", "0", "--delta", "-1.5", "--audit"], None))
-@example((["simulate", "--n", "16", "--seed", "3", "--delta", "0.3", "--audit",
+@example((["simulate", "--n", "4", "--seed", "0", "--audit", "inf"], None))
+@example((["simulate", "--n", "0", "--seed", "0", "--audit", "-1.5"], None))
+@example((["simulate", "--n", "-1", "--seed", "0", "--audit", "-1.5"], None))
+@example((["simulate", "--n", "16", "--seed", "3", "--audit", "0.3",
            "--first-output"], None))
 @example((["bounds", "--pgf", "accept", "5", "--tail", "upper", "--r", "nan",
            "--optimize"], None))

@@ -427,37 +427,31 @@ def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track):
     n=st.integers(1, 12),
     seed=st.integers(0, 2**64 - 1),
     stop=st.sampled_from(["natural", "cap", "first_output"]),
-    cap_rule=st.sampled_from(["none", "fixed", "at_exhaustion"]),
+    cap_rule=st.sampled_from(["fixed", "at_exhaustion"]),
     fixed_cap=st.integers(1, 300),
     shift=st.integers(-1, 1),
     track=st.booleans(),
 )
 def test_run_equals_reference_replay(n, seed, stop, cap_rule, fixed_cap, shift, track):
-    # "at_exhaustion" puts the cap one proposal before, at or after the
-    # first time the proposer has tried every girl, where the stop rules
-    # meet and their order decides which one fires.
+    # A cap is passed only under "cap". There "at_exhaustion" puts it one
+    # proposal before, at or after the first time the proposer has tried
+    # every girl, where the kernel leaves its pass for that proposer.
     girl = seed % n
-    if cap_rule == "at_exhaustion":
+    if stop != "cap":
+        cap = None
+    elif cap_rule == "at_exhaustion":
         probe = reference_state(n, girl, track=False)
         reference_run(probe, Rng(seed), "natural")
         cap = max(1, probe.stats.t + shift)
-    elif cap_rule == "fixed" or stop == "cap":
-        cap = fixed_cap
     else:
-        cap = None
+        cap = fixed_cap
     state = reference_state(n, girl, track=track)
     rng = Rng(seed)
-    args = dict(stop=stop, max_proposals=cap, track=track)
-    try:
-        stopped = reference_run(state, rng, stop, cap)
-    except RuntimeError:
-        with pytest.raises(RuntimeError, match="safety limit"):
-            run(n, girl, seed, **args)
-        return
+    stopped = reference_run(state, rng, stop, cap)
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
         states = _keep_states(monkeypatch)
-        outputs, fast = run(n, girl, seed, **args)
+        outputs, fast = run(n, girl, seed, stop=stop, max_proposals=cap, track=track)
     assert fast.stopped == stopped
     assert_run_matches_steps(outputs, fast, state)
     assert streams[0]._state == rng._state
@@ -483,9 +477,12 @@ class TestStopRules:
         assert len(outputs) >= 1
         assert 5 in states[0].ntried
 
-    def test_safety_limit_raises(self):
-        with pytest.raises(RuntimeError):
-            run(5, 0, 1, stop="natural", max_proposals=3)
+    def test_max_proposals_only_with_cap(self):
+        # The other rules fire with probability 1, so a cap on them is
+        # refused rather than kept as a limit no run can reach.
+        for stop in ("natural", "first_output"):
+            with pytest.raises(ValueError, match="max_proposals"):
+                run(5, 0, 1, stop=stop, max_proposals=5)
 
     def test_cap_requires_max_proposals(self):
         with pytest.raises(ValueError):
