@@ -34,7 +34,6 @@ from .matching import (
 from .oracle import OracleScaleError, StableSet, enumerate_stable
 from .random_model import (
     AuditReport,
-    ProcessState,
     RunStats,
     audit_window_stats,
     new_state,
@@ -54,7 +53,6 @@ __all__ = [
     "Matching",
     "OracleScaleError",
     "PreferenceInstance",
-    "ProcessState",
     "RisingProductPgf",
     "Rng",
     "RunStats",

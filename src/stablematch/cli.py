@@ -1,7 +1,7 @@
 """Command-line interface; every subcommand prints JSON to stdout.
 
 Exit status: 0 on success, 1 when an experiment gate fails, 2 for bad
-usage, bad input files, or infeasible configuration.
+usage, bad input files, infeasible configuration, or an overflowing value.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "pre_output_acceptances": stats.pre_output_acceptances,
     }
     if audited:
-        doc["audit"] = audit_window_stats(stats, args.n, args.audit).to_dict()
+        doc["audit"] = audit_window_stats(stats, args.audit).to_dict()
     _emit(doc)
     return 0
 
@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value is too large to compute with: {exc}", file=sys.stderr)
         return 2
 
 

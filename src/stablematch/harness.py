@@ -32,7 +32,8 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from operator import lt
+from functools import reduce
+from operator import getitem, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -152,6 +153,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"out_dir must be a path string, got {config.out_dir!r}")
     if not isinstance(config.plot_data, bool):
         raise ConfigError(f"plot_data must be true or false, got {config.plot_data!r}")
+    if config.plot_data and spec.plot is None:
+        raise ConfigError(f"plot_data is not available for kind {config.kind!r}")
     if not isinstance(config.params, dict):
         raise ConfigError(f"params must be an object, got {config.params!r}")
     _validate_gate(config.kind, spec, config.gate)
@@ -166,16 +169,16 @@ def validate_config(config: ExperimentConfig) -> None:
         for n in ns:
             try:
                 _bounds.husband_count_envelope(n, p["c"], p["C"], p["delta"], p["eps"])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"theorem parameters infeasible at n={n}: {exc}")
     if config.kind == "lemma_audit":
         if p["delta"] is None:
             raise ConfigError("lemma_audit requires params.delta")
-        try:
-            for n in ns:
+        for n in ns:
+            try:
                 audit_window(n, p["delta"])
-        except ValueError as exc:
-            raise ConfigError(f"lemma_audit params.delta: {exc}")
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"lemma_audit at n={n}: {exc}")
     if config.kind == "acceptance_dist":
         if not _is_int(p["m"]) or p["m"] < 1:
             raise ConfigError("acceptance_dist requires integer params.m >= 1")
@@ -306,7 +309,7 @@ def _audit_trial(args: tuple) -> tuple[TrialResult, dict]:
     trial, seed, n, girl, delta, cap = args
     start = time.perf_counter_ns()
     outputs, stats = run_process(n, girl, seed, stop="cap", max_proposals=cap)
-    report = audit_window_stats(stats, n, delta)
+    report = audit_window_stats(stats, delta)
     return _row(trial, seed, start, outputs, stats), report.to_dict()
 
 
@@ -445,6 +448,9 @@ def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
 def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     p = _params(config)
     m, eps = p["m"], p["eps"]
+    # H_m first: an m too large for a float raises OverflowError here, before
+    # the m-long table of limits is built.
+    h_m = _bounds.harmonic(m)
     limits = list(map(_acceptance_limit, range(1, m + 1)))
     # Blocks of at most 2048 draws keep the block constants small at any m.
     chunks = [limits[i : i + 2048] for i in range(0, m, 2048)]
@@ -457,7 +463,6 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]
         elapsed = (time.perf_counter_ns() - start) // 1000
         counts.append(count)
         results.append(TrialResult(trial, seed, count, None, 0, elapsed))
-    h_m = _bounds.harmonic(m)
     expected_var = h_m - _bounds.harmonic_second(m)
     stderr = math.sqrt(expected_var / config.trials)
     mean = sum(counts) / len(counts)
@@ -521,9 +526,7 @@ class _Gate:
     compare: str
 
     def failure(self, block: dict, limit) -> str | None:
-        got = block
-        for part in self.field:
-            got = got[part]
+        got = reduce(getitem, self.field, block)
         if self.compare == "abs_max":
             got = abs(got)
         if self.compare == "min":
@@ -542,11 +545,13 @@ class _Gate:
 @dataclass(frozen=True)
 class _Kind:
     """An experiment kind: its block runner, the parameters it reads with
-    their defaults (None where the config must give one), and its gates."""
+    their defaults (None where the config must give one), its gates, and
+    the block's histogram that plot_data writes (None: the kind has none)."""
 
     run_block: Callable[[ExperimentConfig, int], tuple[dict, list]]
     params: dict
     gates: tuple[_Gate, ...]
+    plot: tuple[str, ...] | None
 
 
 # The order fixes each kind's id in the per-trial seed path.
@@ -559,16 +564,19 @@ _KINDS = {
                   ("summary", "inside_fraction"), "min"),
             _Gate("median_range", "median {}", ("summary", "p50"), "range"),
         ),
+        ("summary", "histogram"),
     ),
     "equivalence": _Kind(
         _run_equivalence_block,
         {},
         (_Gate("max_tv", "tv_distance {}", ("tv_distance",), "max"),),
+        ("histogram_a",),
     ),
     "lemma_audit": _Kind(
         _run_audit_block,
         {"delta": None},
         (_Gate("min_all_pass_rate", "all_pass_rate {}", ("all_pass_rate",), "min"),),
+        None,
     ),
     "acceptance_dist": _Kind(
         _run_acceptance_block,
@@ -579,6 +587,7 @@ _KINDS = {
             _Gate("tail_within_bound", "tail_frequency {}",
                   ("tail_frequency",), "flag"),
         ),
+        ("summary", "histogram"),
     ),
     "coupon": _Kind(
         _run_coupon_block,
@@ -589,6 +598,7 @@ _KINDS = {
             _Gate("min_window_fraction", "within_window_fraction {}",
                   ("within_window_fraction",), "min"),
         ),
+        ("first_output", "histogram"),
     ),
 }
 KINDS = tuple(_KINDS)
@@ -637,14 +647,8 @@ def write_outputs(
             writer.writerows(rows[i * per_block : (i + 1) * per_block])
         written.append(path)
         if config.plot_data:
-            block = report["blocks"][i]
-            hist = (
-                block.get("summary", {}).get("histogram")
-                or block.get("histogram_a")
-                or block.get("first_output", {}).get("histogram")
-                or []
-            )
-            total = sum(v for _, v in hist) or 1
+            hist = reduce(getitem, _KINDS[config.kind].plot, report["blocks"][i])
+            total = sum(v for _, v in hist)
             name = "histogram.tsv" if len(sizes) == 1 else f"histogram_n{n}.tsv"
             tsv = out / name
             with tsv.open("w", encoding="utf-8") as fh:

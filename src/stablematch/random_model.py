@@ -15,8 +15,8 @@ fires where the deterministic search would terminate, "cap" after a fixed
 number of proposals, "first_output" as soon as the first husband is
 emitted.
 
-States are mutable and confined to one worker each; aggregate RunStats
-across workers only after their runs complete.
+A run's working state (the boys' tried rows, the girls' best offers) lives
+only inside the call that runs it; what it yields is its RunStats record.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class RunStats:
     counts only fresh ones, and a girl's fresh count is also her offer
     count, the k of her next offer's 1/k acceptance. pair_counts[b] holds
     only the girls boy b proposed to more than once, each with his full
-    count (at least 2); a pair proposed to once appears only in his tried
-    row. pre_output_acceptances counts the designated girl's acceptances
-    that were superseded before the first output, so acceptances_by_girl
-    == len(outputs) + pre_output_acceptances exactly.
+    count (at least 2); a pair proposed to once is not listed.
+    pre_output_acceptances counts the designated girl's acceptances that
+    were superseded before the first output, so acceptances_by_girl ==
+    len(outputs) + pre_output_acceptances exactly.
     """
 
     n: int
@@ -62,33 +62,15 @@ class RunStats:
     stopped: str | None = None
 
 
-@dataclass
-class ProcessState:
-    """The chain's per-entity state, read and written by its kernel.
-
-    proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
-    == 1 once he has proposed to girl j, and ntried[b] the number of girls
-    he has tried (the count of ones in his row); best_offer[j] the boy
-    holding girl j's best offer so far (None before her first fresh
-    proposal); her count of fresh proposals is stats.nonredundant_per_girl.
-    """
-
-    n: int
-    girl: int
-    proposed: list[bytearray]
-    ntried: list[int]
-    best_offer: list[int | None]
-    stats: RunStats
-
-
-def new_state(n: int, girl: int, track: bool = True) -> ProcessState:
-    """Fresh state with boy 0 introduced as the first proposer; with track,
-    its stats record run_lengths and pair_counts, which the audit reads."""
+def new_state(n: int, girl: int, track: bool = True) -> RunStats:
+    """The empty record of a fresh run, with boy 0 introduced as the first
+    proposer; with track, it records run_lengths and pair_counts, which the
+    audit reads."""
     if n < 1:
         raise ValueError("process size must be at least 1")
     if not 0 <= girl < n:
         raise ValueError(f"designated girl {girl} out of range for n={n}")
-    stats = RunStats(
+    return RunStats(
         n=n,
         girl=girl,
         proposals_per_girl=[0] * n,
@@ -97,14 +79,6 @@ def new_state(n: int, girl: int, track: bool = True) -> ProcessState:
         runs_per_boy=[1] + [0] * (n - 1),
         run_lengths=[] if track else None,
         pair_counts=[dict() for _ in range(n)] if track else None,
-    )
-    return ProcessState(
-        n=n,
-        girl=girl,
-        proposed=[bytearray(n) for _ in range(n)],
-        ntried=[0] * n,
-        best_offer=[None] * n,
-        stats=stats,
     )
 
 
@@ -126,18 +100,23 @@ def _acceptance_limits(n: int) -> tuple[int, ...]:
     return (0, *map(_acceptance_limit, range(1, n + 1)))
 
 
-def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
-    """Run the chain from the fresh `state` of `new_state` until the stop
-    rule fires, and return the stop that fired: the chain's loop, behind
-    `run`.
+def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
+    """Run the chain from a fresh state until the stop rule fires, fill in
+    `stats`, the empty record of `new_state`, and return the stop that
+    fired: the chain's loop, behind `run`.
 
     stop is a stop rule of `run`; cap is the proposal count where "cap"
     fires, and None under the other rules. Boy 0 proposes first, with one
-    boy introduced. Draws come from `Rng.block`, with `randrange`'s
-    rejection rule and `random`'s float (as the integer bound
-    `_acceptance_limit`), so each is the draw those calls would take. Blocks
-    start small and double up to 2048, so short runs never compute a large
-    block, and unread draws are handed back to the stream.
+    boy introduced. The chain's working state is local to the loop:
+    proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
+    == 1 once he has proposed to girl j; ntried[b] is his count of tried
+    girls, written back only when he stops proposing; best_offer[j] is the
+    boy holding girl j's best offer (None before her first fresh proposal).
+    Draws come from `Rng.block`, with `randrange`'s rejection rule and
+    `random`'s float (as the integer bound `_acceptance_limit`), so each is
+    the draw those calls would take. Blocks start small and double up to
+    2048, so short runs never compute a large block, and unread draws are
+    handed back to the stream.
 
     The stop rule is checked only where it can newly hold and no offer is
     pending: the loop reads every draw of a block in one pass, and a fresh
@@ -156,11 +135,10 @@ def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
     proposals gain her offer count, and redundant_proposals is the
     proposals made less the fresh ones.
     """
-    n = state.n
-    stats = state.stats
-    proposed = state.proposed
-    ntried = state.ntried
-    best_offer = state.best_offer
+    n = stats.n
+    proposed = [bytearray(n) for _ in range(n)]
+    ntried = [0] * n
+    best_offer: list[int | None] = [None] * n
     per_girl = stats.proposals_per_girl
     fresh_per_girl = stats.nonredundant_per_girl
     per_boy = stats.proposals_per_boy
@@ -191,7 +169,7 @@ def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
     run_start = 0
     fresh_start = 0
     accepts_by_g = 0
-    g = state.girl
+    g = stats.girl
     natural = stop == "natural"
     first_output = stop == "first_output"
     emitted: int | None = None
@@ -284,7 +262,6 @@ def _advance(state: ProcessState, rng: Rng, stop: str, cap: int | None) -> str:
     per_boy[p] += t - run_start
     if run_lengths is not None and t > run_start:
         run_lengths.append((p, t - run_start, count - fresh_start))
-    ntried[p] = count
     stats.t = t
     stats.redundant_proposals = t - sum(fresh_per_girl)
     per_girl[:] = map(add, per_girl, fresh_per_girl)
@@ -321,9 +298,8 @@ def run(
         raise ValueError("stop='cap' requires max_proposals >= 1")
     if stop != "cap" and max_proposals is not None:
         raise ValueError(f"max_proposals applies to stop='cap' only, not {stop!r}")
-    state = new_state(n, girl, track=track)
-    stats = state.stats
-    stats.stopped = _advance(state, Rng(seed), stop, max_proposals)
+    stats = new_state(n, girl, track=track)
+    stats.stopped = _advance(stats, Rng(seed), stop, max_proposals)
     return list(stats.outputs), stats
 
 
@@ -367,7 +343,7 @@ def audit_window(n: int, delta: float) -> int:
     return math.floor(n ** (1 + delta))
 
 
-def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
+def audit_window_stats(stats: RunStats, delta: float) -> AuditReport:
     """Audit a capped run against the asymptotic per-entity bounds.
 
     The checks, with nd = n**delta and logs natural (log factors and final
@@ -386,12 +362,11 @@ def audit_window_stats(stats: RunStats, n: int, delta: float) -> AuditReport:
       girl_fresh_floor       every girl received at least nd/(2*log n)
                              fresh proposals
 
-    Requires stats from a run capped at exactly audit_window(n, delta)
-    proposals with tracking enabled. Failures are reported with the
-    offending entity, never raised.
+    n is stats.n. Requires stats from a run capped at exactly
+    audit_window(n, delta) proposals with tracking enabled. Failures are
+    reported with the offending entity, never raised.
     """
-    if stats.n != n:
-        raise ValueError(f"stats cover n={stats.n}, audit requested n={n}")
+    n = stats.n
     cap = audit_window(n, delta)
     if stats.t != cap:
         raise ValueError(

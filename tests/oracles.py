@@ -3,7 +3,10 @@
 Everything here is deliberately naive (convolutions, direct summation,
 explicit recurrences, one scalar proposal at a time) and shares no code
 with the implementations under test beyond their plain data types and the
-fresh chain state of `new_state`.
+empty run record of `new_state`. The chain's working state, which
+`random_model.run` keeps private to its loop, is spelled out here as
+`ReferenceState`, so that tests can stop a replay after any proposal and
+read its tried rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from stablematch.oracle import StableSet
 from stablematch.random_model import (
     AuditCheck,
     AuditReport,
-    ProcessState,
     RunStats,
     new_state,
 )
@@ -269,12 +271,22 @@ class StepEvent:
 
 
 @dataclass
-class ReferenceState(ProcessState):
-    """A chain state that can stop and resume after any proposal: the
-    kernel's fields plus the proposer, the count of boys introduced, whether
-    a husband has been emitted, and the proposals and fresh ones among them
-    of the proposer's run in progress."""
+class ReferenceState:
+    """A chain state that can stop and resume after any proposal.
 
+    proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
+    == 1 once he has proposed to girl j, and ntried[b] his count of tried
+    girls; best_offer[j] is the boy holding girl j's best offer (None
+    before her first fresh proposal); stats is the run's record, from
+    `new_state`. The resume fields are the proposer, the count of boys
+    introduced, whether a husband has been emitted, and the proposals and
+    fresh ones among them of the proposer's run in progress.
+    """
+
+    proposed: list[bytearray]
+    ntried: list[int]
+    best_offer: list[int | None]
+    stats: RunStats
     proposer: int = 0
     introduced: int = 1
     post_first_output: bool = False
@@ -283,8 +295,14 @@ class ReferenceState(ProcessState):
 
 
 def reference_state(n: int, girl: int, track: bool = True) -> ReferenceState:
-    """The fresh state of `new_state`, with boy 0 proposing."""
-    return ReferenceState(**vars(new_state(n, girl, track)))
+    """A fresh state: the empty record of `new_state`, no girl tried, no
+    offer made, and boy 0 proposing."""
+    return ReferenceState(
+        proposed=[bytearray(n) for _ in range(n)],
+        ntried=[0] * n,
+        best_offer=[None] * n,
+        stats=new_state(n, girl, track),
+    )
 
 
 def reference_step(
@@ -304,8 +322,8 @@ def reference_step(
     `stats.pair_counts`, where the chain keeps only the pairs proposed to
     more than once.
     """
-    n = state.n
     stats = state.stats
+    n, girl = stats.n, stats.girl
     p = state.proposer
     tried = state.proposed[p]
     if amnesia:
@@ -341,7 +359,7 @@ def reference_step(
         stats.run_lengths.append((p, state.run_length, state.run_fresh))
     state.run_length = 0
     state.run_fresh = 0
-    if h == state.girl:
+    if h == girl:
         stats.acceptances_by_girl += 1
         if stats.first_output_time is None:
             stats.pre_output_acceptances = stats.acceptances_by_girl
@@ -353,10 +371,10 @@ def reference_step(
             nxt = state.introduced
             state.introduced += 1
         else:
-            output = state.best_offer[state.girl]
+            output = state.best_offer[girl]
             assert output is not None
             nxt = output
-    elif h == state.girl and state.post_first_output:
+    elif h == girl and state.post_first_output:
         output = p
         nxt = p
     else:
@@ -396,8 +414,6 @@ def copy_stats(stats: RunStats) -> RunStats:
 def clone_state(state: ReferenceState) -> ReferenceState:
     """An independent copy of `state`, its stats included."""
     return ReferenceState(
-        n=state.n,
-        girl=state.girl,
         proposed=[bytearray(row) for row in state.proposed],
         ntried=list(state.ntried),
         introduced=state.introduced,
@@ -418,12 +434,13 @@ def repeated_pairs(pair_counts: list[dict[int, int]] | None):
     return [{j: c for j, c in pc.items() if c >= 2} for pc in pair_counts]
 
 
-def full_pair_counts(state: ProcessState) -> list[dict[int, int]]:
+def full_pair_counts(state: ReferenceState) -> list[dict[int, int]]:
     """Every boy's count for every girl he tried, in girl order, from the
-    tried rows of `state` and its repeated-pair counts."""
+    tried rows of `state` and its pair counts, where a tried pair with no
+    count was proposed to once."""
     assert state.stats.pair_counts is not None
     return [
-        {j: pc.get(j, 1) for j in range(state.n) if row[j]}
+        {j: pc.get(j, 1) for j in range(state.stats.n) if row[j]}
         for row, pc in zip(state.proposed, state.stats.pair_counts)
     ]
 
@@ -443,7 +460,7 @@ def reference_run(
     an exhausted proposer also stops the run, as "natural". After each
     accepted proposal that emits a husband, "first_output" fires.
     """
-    n = state.n
+    n = state.stats.n
     while True:
         exhausted = state.ntried[state.proposer] == n
         if stop == "natural" and exhausted:

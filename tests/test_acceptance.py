@@ -421,7 +421,7 @@ def test_criterion_8_window_audits():
     assert cap == 8192
     seed = derive_seed(MASTER_SEED, 108, 1)
     _, stats = run_process(n, 0, seed, stop="cap", max_proposals=cap)
-    report = audit_window_stats(stats, n, delta)
+    report = audit_window_stats(stats, delta)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"audit run took {elapsed:.1f} s"
     lines = []

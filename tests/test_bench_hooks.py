@@ -70,6 +70,9 @@ def test_tiny_traced_campaign(name):
     assert tracer.failures == {}
     assert tracer.trials == len(rows) > 0
     assert all(tracer.counts[f"{layer}.proposals"] > 0 for layer in LAYERS[name])
+    # Each run takes its empty record from the module-level new_state, which
+    # the benchmark times as random_model.new_state_s.
+    assert tracer.calls("random_model.new_state") == tracer.calls("random_model.run") > 0
     if cap is not None:
         assert tracer.counts["random_model.proposals"] == len(rows) * cap
         assert tracer.calls("random_model.audit_window_stats") == len(rows)

@@ -309,6 +309,8 @@ class TestExperiment:
 
 
 BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
+# Too large for a float: every use overflows before anything is allocated.
+HUGE = 10**400
 
 
 @pytest.mark.parametrize(
@@ -339,6 +341,14 @@ BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
         ),
         ({**BASE_CONFIG, "n": [8, 8]}, []),
         ({**BASE_CONFIG, "kind": "lemma_audit", "params": {"delta": 0.7}}, []),
+        ({**BASE_CONFIG, "n": HUGE}, []),
+        ({**BASE_CONFIG, "kind": "lemma_audit", "n": HUGE, "params": {"delta": 0.3}}, []),
+        ({**BASE_CONFIG, "kind": "coupon", "n": HUGE}, []),
+        (
+            {**BASE_CONFIG, "kind": "lemma_audit", "params": {"delta": 0.3},
+             "plot_data": True},
+            [],
+        ),
     ],
     ids=[
         "param-c-string",
@@ -358,6 +368,10 @@ BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
         "gate-flag-string",
         "n-repeated",
         "audit-delta-outside-window",
+        "theorem-n-huge",
+        "audit-n-huge",
+        "coupon-n-huge",
+        "audit-plot-data",
     ],
 )
 def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
@@ -373,6 +387,28 @@ def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_huge_offer_count_is_named_before_any_allocation():
+    # acceptance_dist builds an m-long table of acceptance limits, so an m
+    # too large for a float must be named before it. The child process caps
+    # its own address space at 1 GiB: should the table come first, the run
+    # ends in a MemoryError rather than filling the host's memory.
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from stablematch.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, "experiment", "--kind", "acceptance_dist",
+         "--n", "1", "--trials", "1", "--seed", "1", "--param", f"m={HUGE}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 def test_console_entry_point(fixture_file):
@@ -565,6 +601,15 @@ def run_generated(root, argv: list[str], config) -> int:
 @example((["experiment", "--config", "@config.json"],
           {"kind": "equivalence", "n": 2, "trials": 2, "master_seed": 1,
            "gate": {"max_tv": float("nan")}}))
+# Sizes too large for a float.
+@example((["simulate", "--n", str(HUGE), "--seed", "1"], None))
+@example((["simulate", "--n", str(HUGE), "--seed", "1", "--audit", "0.3"], None))
+@example((["bounds", "--pgf", "binom", str(HUGE), "5", "--tail", "upper", "--r",
+           "1", "--optimize"], None))
+@example((["bounds", "--pgf", "accept", str(HUGE), "--tail", "upper", "--r", "1",
+           "--optimize"], None))
+@example((["envelope", "--n", "1e308", "--c", "0.3", "--C", "2", "--delta", "0.45",
+           "--eps", "0.05"], None))
 def test_cli_never_raises(capsys, files, case):
     # Any command line ends in exit 0 or 1 (a gate failed) with strict JSON
     # on stdout, NaN and Infinity excluded, or in exit 2 with the fault

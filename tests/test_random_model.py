@@ -192,20 +192,6 @@ def _keep_streams(monkeypatch) -> list[Rng]:
     return streams
 
 
-def _keep_states(monkeypatch) -> list:
-    """Record every state `run` creates, in creation order."""
-    states = []
-    make = random_model.new_state
-
-    def keep(*args, **kwargs):
-        state = make(*args, **kwargs)
-        states.append(state)
-        return state
-
-    monkeypatch.setattr(random_model, "new_state", keep)
-    return states
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120))
 def test_conservation_after_every_step(n, seed, steps):
@@ -217,13 +203,12 @@ def test_conservation_after_every_step(n, seed, steps):
         reference_step(state, rng)
         with pytest.MonkeyPatch.context() as monkeypatch:
             streams = _keep_streams(monkeypatch)
-            states = _keep_states(monkeypatch)
             outputs, fast = run(n, girl, seed, stop="cap", max_proposals=t)
         assert fast.t == t and fast.stopped == "cap"
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
         assert sum(fast.proposals_per_boy) == t
-        assert_derived_counters(states[0])
+        assert_derived_counters(state)
 
 
 @pytest.mark.parametrize(
@@ -414,11 +399,10 @@ def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track):
     stopped = reference_run(state, rng, stop, cap)
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
-        states = _keep_states(monkeypatch)
         outputs, fast = run(n, girl, seed, stop=stop, max_proposals=cap, track=track)
     assert fast.stopped == stopped
     assert_run_matches_steps(outputs, fast, state)
-    assert_derived_counters(states[0])
+    assert_derived_counters(state)
     assert streams[0]._state == rng._state == (seed + draws * GOLDEN) % 2**64
 
 
@@ -450,12 +434,11 @@ def test_run_equals_reference_replay(n, seed, stop, cap_rule, fixed_cap, shift, 
     stopped = reference_run(state, rng, stop, cap)
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
-        states = _keep_states(monkeypatch)
         outputs, fast = run(n, girl, seed, stop=stop, max_proposals=cap, track=track)
     assert fast.stopped == stopped
     assert_run_matches_steps(outputs, fast, state)
     assert streams[0]._state == rng._state
-    assert_derived_counters(states[0])
+    assert_derived_counters(state)
 
 
 class TestStopRules:
@@ -470,12 +453,13 @@ class TestStopRules:
         assert stats.first_output_time == stats.t
         assert min(stats.proposals_per_girl) >= 1
 
-    def test_natural_runs_until_some_boy_exhausts(self, monkeypatch):
-        states = _keep_states(monkeypatch)
+    def test_natural_runs_until_some_boy_exhausts(self):
         outputs, stats = run(5, 0, 123, stop="natural")
-        assert stats.stopped == "natural"
+        state = reference_state(5, 0)
+        assert reference_run(state, Rng(123), "natural") == stats.stopped == "natural"
+        assert_run_matches_steps(outputs, stats, state)
         assert len(outputs) >= 1
-        assert 5 in states[0].ntried
+        assert 5 in state.ntried
 
     def test_max_proposals_only_with_cap(self):
         # The other rules fire with probability 1, so a cap on them is
@@ -555,7 +539,7 @@ def test_memoryful_variant_same_output_distribution():
 class TestAudit:
     def test_degenerate_n1_passes_vacuously(self):
         _, stats = run(1, 0, 8, stop="cap", max_proposals=1)
-        report = audit_window_stats(stats, 1, 0.3)
+        report = audit_window_stats(stats, 0.3)
         assert report.passed
         assert len(report.checks) == 7
 
@@ -563,7 +547,7 @@ class TestAudit:
         n, delta = 64, 0.3
         cap = int(n ** (1 + delta))
         _, stats = run(n, 0, 99, stop="cap", max_proposals=cap)
-        report = audit_window_stats(stats, n, delta)
+        report = audit_window_stats(stats, delta)
         names = {c.name for c in report.checks}
         assert names == {
             "girl_proposal_window",
@@ -587,7 +571,7 @@ class TestAudit:
         stats.runs_per_boy = [1, 1, 1, 0]
         stats.run_lengths = [(0, 2, 2), (1, 2, 2), (2, 2, 2)]
         stats.pair_counts = [{}, {}, {1: 3}, {}]
-        report = audit_window_stats(stats, n, delta)
+        report = audit_window_stats(stats, delta)
         assert not report.passed
         failing = [c for c in report.checks if not c.passed]
         assert [c.name for c in failing] == ["pair_repeat_proposals"]
@@ -596,18 +580,13 @@ class TestAudit:
     def test_cap_mismatch_reported(self):
         _, stats = run(4, 0, 7, stop="cap", max_proposals=5)
         with pytest.raises(ValueError, match="cap mismatch"):
-            audit_window_stats(stats, 4, 0.3)
+            audit_window_stats(stats, 0.3)
 
     def test_requires_tracking(self):
         cap = int(4**1.3)
         _, stats = run(4, 0, 7, stop="cap", max_proposals=cap, track=False)
         with pytest.raises(ValueError, match="tracking"):
-            audit_window_stats(stats, 4, 0.3)
-
-    def test_wrong_n_rejected(self):
-        _, stats = run(4, 0, 7, stop="cap", max_proposals=int(4**1.3))
-        with pytest.raises(ValueError):
-            audit_window_stats(stats, 5, 0.3)
+            audit_window_stats(stats, 0.3)
 
 
 def _audit_bounds(n: int, delta: float) -> tuple[int, dict]:
@@ -721,7 +700,7 @@ def synthetic_audit_stats(draw, violate_all: bool = False):
 def assert_audit_equals_reference(stats, n, delta, full_pairs):
     """The audit of `stats` equals the reference audit of the same counts
     with the full pair counts `full_pairs`."""
-    report = audit_window_stats(stats, n, delta)
+    report = audit_window_stats(stats, delta)
     expected = reference_audit(
         dataclasses.replace(stats, pair_counts=full_pairs), n, delta
     )
@@ -740,10 +719,11 @@ class TestAuditEqualsReference:
     )
     def test_capped_runs(self, n, delta, seed):
         cap = math.floor(n ** (1 + delta))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            states = _keep_states(monkeypatch)
-            _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
-        full = full_pair_counts(states[0])
+        _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
+        # The replay counts every pair in full.
+        state = reference_state(n, seed % n)
+        reference_run(state, Rng(seed), "cap", cap)
+        full = full_pair_counts(state)
         assert repeated_pairs(full) == stats.pair_counts
         assert_audit_equals_reference(stats, n, delta, full)
 
