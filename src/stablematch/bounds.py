@@ -211,8 +211,11 @@ def harmonic(m: int) -> float:
 
 
 def harmonic_second(m: int) -> float:
-    """Second-order harmonic number sum_{k<=m} 1/k^2 (direct summation)."""
-    return sum(1.0 / (k * k) for k in range(1, m + 1))
+    """Second-order harmonic number sum_{k<=m} 1/k^2, summed directly up to
+    1e6 and by asymptotic expansion beyond."""
+    if m <= 10**6:
+        return sum(1.0 / (k * k) for k in range(1, m + 1))
+    return math.pi**2 / 6 - 1.0 / m + 1.0 / (2.0 * m * m) - 1.0 / (6.0 * m**3)
 
 
 _EULER_GAMMA = 0.5772156649015329

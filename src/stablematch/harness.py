@@ -28,9 +28,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import getitem, lt
@@ -217,8 +217,8 @@ def _params(config: ExperimentConfig) -> dict:
 
 
 class TrialResult(NamedTuple):
-    """One trial's row of trials.csv; a tuple, cheap to build and to send
-    back from a worker."""
+    """One trial's row of trials.csv. Workers send rows back as plain
+    tuples, which pickle faster, and the parent rebuilds them."""
 
     trial: int
     seed: int
@@ -274,10 +274,11 @@ def tv_distance(counts_a: Counter, counts_b: Counter, t_a: int, t_b: int) -> flo
     return 0.5 * sum(abs(counts_a[k] / t_a - counts_b[k] / t_b) for k in keys)
 
 
-def _row(trial: int, seed: int, start: int, outputs: list, stats) -> TrialResult:
-    """A trial's row from its husbands and its RunStats or enumeration."""
+def _row(trial: int, seed: int, start: int, outputs: list, stats) -> tuple:
+    """A trial's row from its husbands and its RunStats or enumeration, as
+    a plain tuple: cheaper than a TrialResult to send back from a worker."""
     elapsed = (time.perf_counter_ns() - start) // 1000
-    return TrialResult(
+    return (
         trial,
         seed,
         len(outputs),
@@ -287,9 +288,8 @@ def _row(trial: int, seed: int, start: int, outputs: list, stats) -> TrialResult
     )
 
 
-def _husband_count_trial(args: tuple) -> TrialResult:
-    """One theorem/equivalence-style trial; picklable for worker pools."""
-    trial, seed, n, girl, method = args
+def _husband_count_trial(trial: int, seed: int, n: int, girl: int, method: str):
+    """One theorem/equivalence-style trial."""
     start = time.perf_counter_ns()
     if method == "a":
         enum = stable_husbands(generate_uniform(n, seed), girl)
@@ -298,34 +298,96 @@ def _husband_count_trial(args: tuple) -> TrialResult:
     return _row(trial, seed, start, outputs, stats)
 
 
-def _coupon_trial(args: tuple) -> TrialResult:
-    trial, seed, n, girl = args
+def _coupon_trial(trial: int, seed: int, n: int, girl: int):
     start = time.perf_counter_ns()
     outputs, stats = run_process(n, girl, seed, stop="first_output", track=False)
     return _row(trial, seed, start, outputs, stats)
 
 
-def _audit_trial(args: tuple) -> tuple[TrialResult, dict]:
-    trial, seed, n, girl, delta, cap = args
+def _audit_trial(trial: int, seed: int, n: int, girl: int, delta: float, cap: int):
+    """A capped trial's row and its audit report, as a pair."""
     start = time.perf_counter_ns()
     outputs, stats = run_process(n, girl, seed, stop="cap", max_proposals=cap)
     report = audit_window_stats(stats, delta)
     return _row(trial, seed, start, outputs, stats), report.to_dict()
 
 
-def _map_trials(
-    worker, args_list: list, workers: int, share: int | None = None
-) -> list:
-    """Run trials across a pool; result order always follows trial order.
+def _seed_prefix(config: ExperimentConfig, n: int, stream: int = 0) -> int:
+    """derive_seed(master_seed, kind id, n, stream): the part of every
+    trial's seed path that a block of trials shares."""
+    return derive_seed(config.master_seed, _KIND_IDS[config.kind], n, stream)
 
-    Each task sent to a worker holds a quarter of a worker's share of
-    `share` trials (default: all of them).
+
+def _trial_seeds(prefix: int, start: int, stop: int):
+    """The seeds of trials start..stop-1 of a stream: each adds the trial's
+    fold to the stream's prefix, which completes derive_seed's path."""
+    return (mix64(prefix ^ mix64(trial)) for trial in range(start, stop))
+
+
+def _run_range(task: tuple) -> list[tuple]:
+    """One pool task: trials start..stop-1 of one stream, with their seeds
+    folded here from the stream's prefix, and row indices shifted by the
+    stream's offset. The rows come back as plain tuples."""
+    trial, fixed, prefix, start, stop, offset = task
+    seeds = _trial_seeds(prefix, start, stop)
+    return [trial(i + offset, seed, *fixed) for i, seed in enumerate(seeds, start)]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_trials(
+    trial: Callable,
+    streams: list,
+    trials: int,
+    workers: int,
+    extras: list | None = None,
+) -> list[TrialResult]:
+    """Run `trials` trials of each stream; rows follow the streams' order,
+    then trial order, whatever the worker count.
+
+    A stream is (the trial's fixed arguments, its seed prefix, its row
+    offset). Each is cut into at most 4 ranges per pool process, as even as
+    can be, and a range is one task: it holds no per-trial argument, so
+    the pool forks before any per-trial object exists. The pool has at
+    most `workers` processes, and no more than there are tasks or usable
+    CPUs; with one, the ranges run in this process. When `extras` is a
+    list, the trial gives (row, extra) and the extras are appended to it.
     """
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    chunk = max(1, (share or len(args_list)) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, args_list, chunksize=chunk))
+    pool = min(workers, _usable_cpus())
+    parts = min(4 * pool, trials)
+    tasks = [
+        (trial, fixed, prefix, k * trials // parts, (k + 1) * trials // parts, offset)
+        for fixed, prefix, offset in streams
+        for k in range(parts)
+    ]
+    pool = min(pool, len(tasks))
+    if pool <= 1:
+        return _collect(map(_run_range, tasks), extras)
+    # Imported only when a pool starts: multiprocessing adds about 25 ms to
+    # the import of the package.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=pool) as executor:
+        return _collect(executor.map(_run_range, tasks), extras)
+
+
+def _collect(parts, extras) -> list[TrialResult]:
+    """TrialResult rows from the ranges' plain tuples, built as each range's
+    result arrives."""
+    rows: list[TrialResult] = []
+    for part in parts:
+        if extras is None:
+            rows.extend(map(TrialResult._make, part))
+            continue
+        for row, extra in part:
+            rows.append(TrialResult._make(row))
+            extras.append(extra)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
@@ -351,19 +413,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
     return report, all_rows
 
 
-def _trial_seeds(config: ExperimentConfig, n: int, stream: int = 0) -> list[int]:
-    """derive_seed(master_seed, kind id, n, stream, trial) for each trial,
-    with the prefix common to the block folded once."""
-    prefix = derive_seed(config.master_seed, _KIND_IDS[config.kind], n, stream)
-    return [mix64(prefix ^ mix64(trial)) for trial in range(config.trials)]
-
-
 def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     p = _params(config)
     envelope = _bounds.husband_count_envelope(n, p["c"], p["C"], p["delta"], p["eps"])
-    seeds = _trial_seeds(config, n)
-    args = [(i, s, n, config.girl, config.method) for i, s in enumerate(seeds)]
-    results = _map_trials(_husband_count_trial, args, config.workers)
+    stream = ((n, config.girl, config.method), _seed_prefix(config, n), 0)
+    results = _map_trials(
+        _husband_count_trial, [stream], config.trials, config.workers
+    )
     counts = [r.husband_count for r in results]
     block = {
         "n": n,
@@ -383,16 +439,15 @@ def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
 
 
 def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
-    seeds_a = _trial_seeds(config, n, stream=0)
-    seeds_b = _trial_seeds(config, n, stream=1)
-    args_a = [(i, s, n, config.girl, "a") for i, s in enumerate(seeds_a)]
-    args_b = [
-        (i + config.trials, s, n, config.girl, "b") for i, s in enumerate(seeds_b)
+    # Both samplers share one pool, each cut into ranges as if it had its
+    # own: larger tasks raise the workers' peak memory. Method b's rows
+    # follow method a's, while its seeds fold trials 0.. on stream 1.
+    streams = [
+        ((n, config.girl, "a"), _seed_prefix(config, n, 0), 0),
+        ((n, config.girl, "b"), _seed_prefix(config, n, 1), config.trials),
     ]
-    # Both samplers share one pool; tasks stay the size they had with a pool
-    # per sampler, which keeps the workers' peak memory down.
     results = _map_trials(
-        _husband_count_trial, args_a + args_b, config.workers, config.trials
+        _husband_count_trial, streams, config.trials, config.workers
     )
     results_a, results_b = results[: config.trials], results[config.trials :]
     counts_a = Counter(r.husband_count for r in results_a)
@@ -411,11 +466,11 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list
 def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     delta = config.params["delta"]
     cap = audit_window(n, delta)
-    seeds = _trial_seeds(config, n)
-    args = [(i, s, n, config.girl, delta, cap) for i, s in enumerate(seeds)]
-    outcomes = _map_trials(_audit_trial, args, config.workers)
-    results = [r for r, _ in outcomes]
-    reports = [rep for _, rep in outcomes]
+    stream = ((n, config.girl, delta, cap), _seed_prefix(config, n), 0)
+    reports: list[dict] = []
+    results = _map_trials(
+        _audit_trial, [stream], config.trials, config.workers, reports
+    )
     check_names = list(reports[0]["checks"])
     pass_rates = {
         name: sum(1 for rep in reports if rep["checks"][name]["passed"])
@@ -448,21 +503,27 @@ def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
 def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     p = _params(config)
     m, eps = p["m"], p["eps"]
-    # H_m first: an m too large for a float raises OverflowError here, before
-    # the m-long table of limits is built.
+    # H_m first: an m too large for a float raises OverflowError here,
+    # before any trial.
     h_m = _bounds.harmonic(m)
-    limits = list(map(_acceptance_limit, range(1, m + 1)))
-    # Blocks of at most 2048 draws keep the block constants small at any m.
-    chunks = [limits[i : i + 2048] for i in range(0, m, 2048)]
-    counts: list[int] = []
-    results: list[TrialResult] = []
-    for trial, seed in enumerate(_trial_seeds(config, n)):
-        start = time.perf_counter_ns()
-        rng = Rng(seed)
-        count = sum(sum(map(lt, rng.block(len(c)), c)) for c in chunks)
-        elapsed = (time.perf_counter_ns() - start) // 1000
-        counts.append(count)
-        results.append(TrialResult(trial, seed, count, None, 0, elapsed))
+    trials = config.trials
+    prefix = _seed_prefix(config, n)
+    rngs = list(map(Rng, _trial_seeds(prefix, 0, trials)))
+    counts = [0] * trials
+    elapsed_ns = [0] * trials
+    # Chunk by chunk, every trial's stream reads its next block against the
+    # chunk's limits, so memory stays flat in m. Blocks of at most 2048
+    # draws keep the block constants small at any m.
+    for lo in range(1, m + 1, 2048):
+        limits = list(map(_acceptance_limit, range(lo, min(lo + 2048, m + 1))))
+        for i, rng in enumerate(rngs):
+            start = time.perf_counter_ns()
+            counts[i] += sum(map(lt, rng.block(len(limits)), limits))
+            elapsed_ns[i] += time.perf_counter_ns() - start
+    results = [
+        TrialResult(i, seed, counts[i], None, 0, elapsed_ns[i] // 1000)
+        for i, seed in enumerate(_trial_seeds(prefix, 0, trials))
+    ]
     expected_var = h_m - _bounds.harmonic_second(m)
     stderr = math.sqrt(expected_var / config.trials)
     mean = sum(counts) / len(counts)
@@ -487,9 +548,8 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]
 
 
 def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
-    seeds = _trial_seeds(config, n)
-    args = [(i, s, n, config.girl) for i, s in enumerate(seeds)]
-    results = _map_trials(_coupon_trial, args, config.workers)
+    stream = ((n, config.girl), _seed_prefix(config, n), 0)
+    results = _map_trials(_coupon_trial, [stream], config.trials, config.workers)
     times = [r.first_output_time for r in results]
     window = _bounds.first_output_window(n)
     expected = n * _bounds.harmonic(n)

@@ -51,6 +51,7 @@ from stablematch.bounds import (
 )
 from stablematch.harness import (
     ExperimentConfig,
+    _seed_prefix,
     _trial_seeds,
     report_json,
     run_experiment,
@@ -349,7 +350,8 @@ def test_criterion_6_husband_count_envelope(theorem_run):
     campaign = ExperimentConfig(
         kind="theorem", n=1024, trials=block["trials"], master_seed=MASTER_SEED
     )
-    campaign_seeds = set(_trial_seeds(campaign, 1024))
+    prefix = _seed_prefix(campaign, 1024)
+    campaign_seeds = set(_trial_seeds(prefix, 0, block["trials"]))
     assert campaign_seeds.isdisjoint(
         derive_seed(*ENVELOPE_REF_SEED_PATH, i) for i in range(ENVELOPE_REF_TRIALS)
     )

@@ -260,6 +260,11 @@ class TestMoments:
             math.pi**2 / 6, rel=1e-3
         )
 
+    @pytest.mark.parametrize("m", [10**6 + 1, 2 * 10**6])
+    def test_harmonic_second_asymptotic_branch(self, m):
+        direct = math.fsum(1.0 / (k * k) for k in range(1, m + 1))
+        assert harmonic_second(m) == pytest.approx(direct, rel=1e-15)
+
     def test_mean_property(self):
         assert RisingProductPgf(10).mean == pytest.approx(harmonic_direct(10))
         assert BinomialPowerPgf(4, 100).mean == 25.0

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ from stablematch.harness import (
     ConfigError,
     ExperimentConfig,
     TrialResult,
-    _trial_seeds,
+    _run_range,
+    _seed_prefix,
     report_json,
     run_experiment,
     summarize,
@@ -147,6 +151,17 @@ class TestConfigValidation:
             run_experiment(config)
 
 
+# Every kind whose trials go through the pool, at small sizes.
+POOLED_KINDS = [
+    {"kind": "theorem", "n": 6, "trials": 40, "master_seed": 77, "method": "a"},
+    {"kind": "theorem", "n": 16, "trials": 40, "master_seed": 77, "method": "b"},
+    {"kind": "equivalence", "n": 4, "trials": 40, "master_seed": 77},
+    {"kind": "lemma_audit", "n": 16, "trials": 10, "master_seed": 77,
+     "params": {"delta": 0.3}},
+    {"kind": "coupon", "n": 16, "trials": 40, "master_seed": 77},
+]
+
+
 class TestTheoremExperiment:
     def test_counts_match_oracle_at_small_n(self):
         config = ExperimentConfig(
@@ -177,20 +192,17 @@ class TestTheoremExperiment:
         assert "inside_fraction" in block["summary"]
         assert report["gate_failures"] == []
 
-    def test_worker_count_invariance(self):
-        base = {
-            "kind": "theorem",
-            "n": 16,
-            "trials": 40,
-            "master_seed": 77,
-            "method": "b",
-        }
-        report1, rows1 = run_experiment(ExperimentConfig.from_dict(base))
-        report2, rows2 = run_experiment(
-            ExperimentConfig.from_dict({**base, "workers": 2})
-        )
-        assert report_json(report1) == report_json(report2)
-        assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
+    def test_worker_count_invariance(self, monkeypatch):
+        # Two usable CPUs, so that workers = 2 starts a real pool anywhere.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        for doc in POOLED_KINDS:
+            report1, rows1 = run_experiment(ExperimentConfig.from_dict(doc))
+            report2, rows2 = run_experiment(
+                ExperimentConfig.from_dict({**doc, "workers": 2})
+            )
+            assert report_json(report1) == report_json(report2), doc
+            assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2], doc
+            assert all(type(r) is TrialResult for r in rows1 + rows2), doc
 
     def test_size_sweep(self):
         config = ExperimentConfig(
@@ -240,6 +252,20 @@ class TestOtherKinds:
             rng = Rng(row.seed)
             expected = sum(rng.random() * k < 1.0 for k in range(1, m + 1))
             assert row.husband_count == expected
+
+    def test_acceptance_memory_is_flat_in_m(self):
+        # An m-long table of limits at m = 2**18 alone takes about 11 MB.
+        config = ExperimentConfig(
+            kind="acceptance_dist", n=1, trials=2, master_seed=5,
+            params={"m": 2**18},
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_coupon_block(self):
         config = ExperimentConfig(kind="coupon", n=40, trials=60, master_seed=31)
@@ -359,27 +385,109 @@ def test_trial_seed_derivation_is_arithmetic():
     st.integers(-(2**70), 2**70),
     st.integers(1, 2**20),
     st.integers(0, 1),
-    st.integers(1, 40),
+    st.integers(0, 40),
+    st.integers(0, 40),
 )
-def test_trial_seeds_are_the_full_path(kind, master, n, stream, trials):
-    # The prefix (master, kind, n, stream) is folded once per block; each
-    # trial adds one fold, which must give derive_seed's full path.
-    config = ExperimentConfig(kind=kind, n=n, trials=trials, master_seed=master)
+def test_trial_seeds_are_the_full_path(kind, master, n, stream, start, size):
+    # The prefix (master, kind, n, stream) is folded once per block; a
+    # worker adds each trial's fold, which must give derive_seed's full path.
+    config = ExperimentConfig(kind=kind, n=n, trials=1, master_seed=master)
     kind_id = KINDS.index(kind) + 1
-    assert _trial_seeds(config, n, stream) == [
-        derive_seed(master, kind_id, n, stream, trial) for trial in range(trials)
+    prefix = _seed_prefix(config, n, stream)
+    task = (lambda trial, seed: seed, (), prefix, start, start + size, 0)
+    assert _run_range(task) == [
+        derive_seed(master, kind_id, n, stream, trial)
+        for trial in range(start, start + size)
     ]
+
+
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: each pool made records its size
+    and the tasks it is sent, and runs them in this process."""
+    pools = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    return pools
+
+
+@pytest.mark.parametrize(
+    "kind, workers, trials, cpus, size",
+    [
+        ("coupon", 8, 3, 16, 3),  # no more processes than tasks
+        ("equivalence", 8, 3, 16, 6),  # two streams of 3 tasks
+        ("coupon", 10**6, 40, 2, 2),  # no more than the usable CPUs
+        ("coupon", 4, 40, 16, 4),
+        ("coupon", 8, 40, 1, None),  # one CPU: no pool, the ranges run here
+    ],
+)
+def test_pool_is_capped(stub_pool, monkeypatch, kind, workers, trials, cpus, size):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    doc = {"kind": kind, "n": 8, "trials": trials, "master_seed": 3}
+    report, rows = run_experiment(
+        ExperimentConfig.from_dict({**doc, "workers": workers})
+    )
+    assert [pool.max_workers for pool in stub_pool] == ([size] if size else [])
+    report_1, rows_1 = run_experiment(ExperimentConfig.from_dict(doc))
+    assert report_json(report) == report_json(report_1)
+    assert [r[:-1] for r in rows] == [r[:-1] for r in rows_1]
+
+
+def test_usable_cpus():
+    cpus = harness._usable_cpus()
+    assert cpus >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
+
+
+def test_pool_tasks_are_trial_ranges(stub_pool, monkeypatch):
+    # A task names a range of trials, never one argument tuple per trial:
+    # at most 4 tasks per worker and stream, each the same size at any
+    # trial count (at 400 and 4,000 trials every start, stop and offset of
+    # the largest task pickles at the same width).
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    largest = []
+    for trials in (400, 4000):
+        doc = {"kind": "equivalence", "n": 2, "trials": trials, "master_seed": 5}
+        _, rows = run_experiment(ExperimentConfig.from_dict({**doc, "workers": 2}))
+        assert [r.trial for r in rows] == list(range(2 * trials))
+        pool = stub_pool.pop()
+        per_stream = Counter(task[2] for task in pool.tasks)
+        assert len(per_stream) == 2 and max(per_stream.values()) <= 4 * 2
+        for prefix in per_stream:
+            spans = [task[3:5] for task in pool.tasks if task[2] == prefix]
+            assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+            assert spans[-1][1] == trials
+        largest.append(max(len(pickle.dumps(task)) for task in pool.tasks))
+    assert largest[0] == largest[1]
 
 
 def test_equivalence_campaign_starts_one_pool(monkeypatch):
     pools = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     doc = {"kind": "equivalence", "n": 3, "trials": 20, "master_seed": 4}
     report_2, rows = run_experiment(ExperimentConfig.from_dict({**doc, "workers": 2}))
     assert pools == [2]
@@ -417,18 +525,34 @@ print("numpy" in sys.modules)
 """
 
 
-def test_chain_campaigns_never_import_numpy():
-    # Importing numpy adds 11 to 14 MB of peak resident memory and 55 to
-    # 75 ms of start-up, a large share of a chain campaign's peak RSS. No
-    # kind uses it; the probe's explicit import at the end shows that it
-    # sees the import when one happens.
+def _probe(code: str) -> list[str]:
+    """The words a fresh interpreter prints running code with this package."""
     src = str(Path(stablematch.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.split() == ["False", "True"]
+    return result.stdout.split()
+
+
+def test_chain_campaigns_never_import_numpy():
+    # Importing numpy adds 11 to 14 MB of peak resident memory and 55 to
+    # 75 ms of start-up, a large share of a chain campaign's peak RSS. No
+    # kind uses it; the probe's explicit import at the end shows that it
+    # sees the import when one happens.
+    assert _probe(NUMPY_PROBE) == ["False", "True"]
+
+
+def test_import_leaves_multiprocessing_out():
+    # The pool's modules are imported only when a pool starts.
+    code = (
+        "import sys, stablematch, stablematch.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "import concurrent.futures.process\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    assert _probe(code) == ["False", "True"]
