@@ -155,12 +155,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"plot_data must be true or false, got {config.plot_data!r}")
     if config.plot_data and spec.plot is None:
         raise ConfigError(f"plot_data is not available for kind {config.kind!r}")
-    if not isinstance(config.params, dict):
-        raise ConfigError(f"params must be an object, got {config.params!r}")
     _validate_gate(config.kind, spec, config.gate)
-    for key in spec.params:
-        value = config.params.get(key, spec.params[key])
-        if value is not None and not _is_number(value):
+    _check_keys("params", config.kind, config.params, tuple(spec.params))
+    for key, value in config.params.items():
+        if not _is_number(value):
             raise ConfigError(f"params.{key} must be a number, got {value!r}")
     p = _params(config)
     if config.kind != "acceptance_dist" and not all(0 <= config.girl < n for n in ns):
@@ -186,18 +184,21 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("acceptance_dist eps must be positive")
 
 
+def _check_keys(name: str, kind: str, doc, allowed: tuple) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"{name} keys {sorted(unknown, key=str)} not valid for kind {kind!r}; "
+            f"allowed: {allowed}"
+        )
+
+
 def _validate_gate(kind: str, spec: "_Kind", gate) -> None:
     if gate is None:
         return
-    if not isinstance(gate, dict):
-        raise ConfigError(f"gate must be an object, got {gate!r}")
-    allowed = tuple(g.key for g in spec.gates)
-    unknown = set(gate) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"gate keys {sorted(unknown)} not valid for kind {kind!r}; "
-            f"allowed: {allowed}"
-        )
+    _check_keys("gate", kind, gate, tuple(g.key for g in spec.gates))
     for g in spec.gates:
         if g.key not in gate:
             continue

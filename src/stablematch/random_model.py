@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .rng import Rng
 
@@ -35,11 +35,12 @@ class RunStats:
     """Counters accumulated over one run of the process.
 
     Times are proposal counts, 1-based at each proposal; t is the total.
-    proposals_per_girl includes redundant proposals, nonredundant_per_girl
-    counts only fresh ones, and a girl's fresh count is also her offer
-    count, the k of her next offer's 1/k acceptance. pair_counts[b] holds
-    only the girls boy b proposed to more than once, each with his full
-    count (at least 2); a pair proposed to once is not listed.
+    nonredundant_per_girl counts fresh proposals, each girl's offer count,
+    the k of her next offer's 1/k acceptance. With tracking, run_lengths
+    lists every run as (boy, proposals, fresh ones), the one in progress at
+    the stop included, and pair_counts[b] holds only the girls boy b
+    proposed to more than once, each with his full count (at least 2);
+    `entity_totals` derives the per-entity totals from them.
     pre_output_acceptances counts the designated girl's acceptances that
     were superseded before the first output, so acceptances_by_girl ==
     len(outputs) + pre_output_acceptances exactly.
@@ -48,10 +49,7 @@ class RunStats:
     n: int
     girl: int
     t: int = 0
-    proposals_per_girl: list[int] = field(default_factory=list)
     nonredundant_per_girl: list[int] = field(default_factory=list)
-    proposals_per_boy: list[int] = field(default_factory=list)
-    runs_per_boy: list[int] = field(default_factory=list)
     run_lengths: list[tuple[int, int, int]] | None = None
     pair_counts: list[dict[int, int]] | None = None
     redundant_proposals: int = 0
@@ -73,10 +71,7 @@ def new_state(n: int, girl: int, track: bool = True) -> RunStats:
     return RunStats(
         n=n,
         girl=girl,
-        proposals_per_girl=[0] * n,
         nonredundant_per_girl=[0] * n,
-        proposals_per_boy=[0] * n,
-        runs_per_boy=[1] + [0] * (n - 1),
         run_lengths=[] if track else None,
         pair_counts=[dict() for _ in range(n)] if track else None,
     )
@@ -123,26 +118,19 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
     proposal leaves its offer count in k, which makes the next draw, in
     this block or the next, its acceptance draw. Once that offer is
     resolved, the loop leaves the pass for the check only if the proposer
-    has tried every girl, the cap is reached or a husband was emitted. A
-    run's proposal count is added to its boy once, at the run's end or at
-    the stop, as t minus the run's start; with tracking, the run in
-    progress at the stop is recorded as observed so far.
+    has tried every girl, the cap is reached or a husband was emitted.
 
     A fresh proposal writes only t, the tried byte, the tried count and
-    the girl's offer count (her entry in nonredundant_per_girl). Inside the
-    loop proposals_per_girl counts only redundant proposals, and a pair's
-    count is written only when it repeats; at the stop each girl's
-    proposals gain her offer count, and redundant_proposals is the
-    proposals made less the fresh ones.
+    the girl's offer count (her entry in nonredundant_per_girl); a
+    redundant one writes t and, with tracking, its pair's count. With
+    tracking, a run is recorded when it ends, and the one in progress at
+    the stop as observed so far, even when empty.
     """
     n = stats.n
     proposed = [bytearray(n) for _ in range(n)]
     ntried = [0] * n
     best_offer: list[int | None] = [None] * n
-    per_girl = stats.proposals_per_girl
     fresh_per_girl = stats.nonredundant_per_girl
-    per_boy = stats.proposals_per_boy
-    runs_per_boy = stats.runs_per_boy
     run_lengths = stats.run_lengths
     pair_counts = stats.pair_counts
     outputs = stats.outputs
@@ -166,8 +154,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
     pc = None if pair_counts is None else pair_counts[p]
     introduced = 1
     post = False
-    run_start = 0
-    fresh_start = 0
+    run_start = fresh_start = 0
     accepts_by_g = 0
     g = stats.girl
     natural = stop == "natural"
@@ -199,10 +186,9 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
                         break
                     continue
                 k = 0
-                per_boy[p] += t - run_start
                 if run_lengths is not None:
                     run_lengths.append((p, t - run_start, count - fresh_start))
-                run_start = t
+                    run_start = t
                 if h == g:
                     accepts_by_g += 1
                 previous = best_offer[h]
@@ -224,7 +210,6 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
                 p = nxt
                 tried = proposed[p]
                 count = fresh_start = ntried[p]
-                runs_per_boy[p] += 1
                 if pair_counts is not None:
                     pc = pair_counts[p]
                 if emitted is not None:
@@ -242,7 +227,6 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
                     # A redundant proposal is a proposal too, always
                     # rejected, and it may reach the cap.
                     t += 1
-                    per_girl[h] += 1
                     if pc is not None:
                         # The pair's first proposal was fresh.
                         pc[h] = pc.get(h, 1) + 1
@@ -259,12 +243,10 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
             size = min(size + size, 2048)
 
     rng.unread(it.__length_hint__())
-    per_boy[p] += t - run_start
-    if run_lengths is not None and t > run_start:
+    if run_lengths is not None:
         run_lengths.append((p, t - run_start, count - fresh_start))
     stats.t = t
     stats.redundant_proposals = t - sum(fresh_per_girl)
-    per_girl[:] = map(add, per_girl, fresh_per_girl)
     stats.acceptances_by_girl = accepts_by_g
     if stats.first_output_time is None:
         stats.pre_output_acceptances = accepts_by_g
@@ -289,8 +271,9 @@ def run(
 
     max_proposals is required for "cap" and refused for the other rules,
     which fire with probability 1. track records stats.run_lengths and
-    stats.pair_counts, which only `audit_window_stats` reads; without it
-    both are None. Returns (outputs, stats); outputs are (boy, time) pairs.
+    stats.pair_counts, which only `entity_totals` and the audit read;
+    without it both are None. Returns (outputs, stats); outputs are (boy,
+    time) pairs.
     """
     if stop not in ("natural", "cap", "first_output"):
         raise ValueError(f"unknown stop rule {stop!r}")
@@ -301,6 +284,23 @@ def run(
     stats = new_state(n, girl, track=track)
     stats.stopped = _advance(stats, Rng(seed), stop, max_proposals)
     return list(stats.outputs), stats
+
+
+def entity_totals(stats: RunStats) -> tuple[list[int], list[int], list[int]]:
+    """Each girl's proposals, redundant ones included, each boy's
+    proposals and each boy's run count, from a tracked record: her fresh
+    proposals plus every repeat of a pair with her, the sum of his run
+    lengths, and his number of runs."""
+    if stats.pair_counts is None or stats.run_lengths is None:
+        raise ValueError("entity totals require a run with tracking enabled")
+    per_girl = list(stats.nonredundant_per_girl)
+    for j, c in chain.from_iterable(map(dict.items, stats.pair_counts)):
+        per_girl[j] += c - 1
+    per_boy, runs = [0] * stats.n, [0] * stats.n
+    for b, total, _ in stats.run_lengths:
+        per_boy[b] += total
+        runs[b] += 1
+    return per_girl, per_boy, runs
 
 
 @dataclass(frozen=True)
@@ -388,10 +388,8 @@ def audit_window_stats(stats: RunStats, delta: float) -> AuditReport:
     pair_hi = clamp(log_n)
     fresh_floor = clamp(0.5 * nd / log_n)
 
-    counts = stats.proposals_per_girl
+    counts, per_boy, starts = entity_totals(stats)
     fresh = stats.nonredundant_per_girl
-    starts = stats.runs_per_boy
-    per_boy = stats.proposals_per_boy
     runs = stats.run_lengths
     pairs = stats.pair_counts
     # One row per check: its name and bounds, the per-entity values whose

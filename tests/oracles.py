@@ -278,15 +278,22 @@ class ReferenceState:
     == 1 once he has proposed to girl j, and ntried[b] his count of tried
     girls; best_offer[j] is the boy holding girl j's best offer (None
     before her first fresh proposal); stats is the run's record, from
-    `new_state`. The resume fields are the proposer, the count of boys
-    introduced, whether a husband has been emitted, and the proposals and
-    fresh ones among them of the proposer's run in progress.
+    `new_state`. proposals_per_girl, proposals_per_boy and runs_per_boy
+    are counted here one step at a time: each girl's proposals, redundant
+    ones included, each boy's proposals, and each boy's runs begun, the
+    one in progress included (the chain's record leaves these to
+    `entity_totals`). The resume fields are the proposer, the count of
+    boys introduced, whether a husband has been emitted, and the proposals
+    and fresh ones among them of the proposer's run in progress.
     """
 
     proposed: list[bytearray]
     ntried: list[int]
     best_offer: list[int | None]
     stats: RunStats
+    proposals_per_girl: list[int]
+    proposals_per_boy: list[int]
+    runs_per_boy: list[int]
     proposer: int = 0
     introduced: int = 1
     post_first_output: bool = False
@@ -296,13 +303,22 @@ class ReferenceState:
 
 def reference_state(n: int, girl: int, track: bool = True) -> ReferenceState:
     """A fresh state: the empty record of `new_state`, no girl tried, no
-    offer made, and boy 0 proposing."""
+    offer made, and boy 0 proposing his first run."""
     return ReferenceState(
         proposed=[bytearray(n) for _ in range(n)],
         ntried=[0] * n,
         best_offer=[None] * n,
         stats=new_state(n, girl, track),
+        proposals_per_girl=[0] * n,
+        proposals_per_boy=[0] * n,
+        runs_per_boy=[1] + [0] * (n - 1),
     )
+
+
+def step_totals(state: ReferenceState) -> tuple[list[int], list[int], list[int]]:
+    """The per-entity totals `random_model.entity_totals` derives, as
+    `state` counted them step by step."""
+    return state.proposals_per_girl, state.proposals_per_boy, state.runs_per_boy
 
 
 def reference_step(
@@ -337,8 +353,8 @@ def reference_step(
                 break
     stats.t += 1
     t = stats.t
-    stats.proposals_per_girl[h] += 1
-    stats.proposals_per_boy[p] += 1
+    state.proposals_per_girl[h] += 1
+    state.proposals_per_boy[p] += 1
     state.run_length += 1
     if stats.pair_counts is not None:
         pc = stats.pair_counts[p]
@@ -386,7 +402,7 @@ def reference_step(
             stats.pre_output_acceptances = stats.acceptances_by_girl - 1
             state.post_first_output = True
     state.proposer = nxt
-    stats.runs_per_boy[nxt] += 1
+    state.runs_per_boy[nxt] += 1
     return StepEvent(t, p, h, redundant=False, accepted=True, output=output)
 
 
@@ -394,10 +410,7 @@ def copy_stats(stats: RunStats) -> RunStats:
     """An independent copy of `stats`: no list or dict is shared."""
     out = RunStats(stats.n, stats.girl)
     out.t = stats.t
-    out.proposals_per_girl = list(stats.proposals_per_girl)
     out.nonredundant_per_girl = list(stats.nonredundant_per_girl)
-    out.proposals_per_boy = list(stats.proposals_per_boy)
-    out.runs_per_boy = list(stats.runs_per_boy)
     out.run_lengths = None if stats.run_lengths is None else list(stats.run_lengths)
     out.pair_counts = (
         None if stats.pair_counts is None else [dict(d) for d in stats.pair_counts]
@@ -423,6 +436,9 @@ def clone_state(state: ReferenceState) -> ReferenceState:
         run_length=state.run_length,
         run_fresh=state.run_fresh,
         stats=copy_stats(state.stats),
+        proposals_per_girl=list(state.proposals_per_girl),
+        proposals_per_boy=list(state.proposals_per_boy),
+        runs_per_boy=list(state.runs_per_boy),
     )
 
 
@@ -517,14 +533,19 @@ def seed_with_top_draw(j: int) -> int:
     return (_unmix64(2**64 - 1) - (j + 1) * 0x9E3779B97F4A7C15) % 2**64
 
 
-def reference_audit(stats: RunStats, n: int, delta: float) -> AuditReport:
+def reference_audit(
+    stats: RunStats, n: int, delta: float, totals: tuple[list, list, list]
+) -> AuditReport:
     """The capped-window audit written out one entity at a time, the
     definition that `random_model.audit_window_stats` is held to: every
     violation list is built element by element, each pair count goes
     through a Python-level `max`, and each check's extreme is taken from
-    the full lists. Checks, bounds and errors are those of
-    `audit_window_stats`.
+    the full lists. totals are each girl's proposals, each boy's proposals
+    and each boy's run count, given directly (as `step_totals` counts
+    them) rather than derived from the logs. Checks, bounds and errors are
+    those of `audit_window_stats`.
     """
+    per_girl, per_boy, runs_per_boy = totals
     if stats.n != n:
         raise ValueError(f"stats cover n={stats.n}, audit requested n={n}")
     cap = math.floor(n ** (1 + delta))
@@ -562,21 +583,20 @@ def reference_audit(stats: RunStats, n: int, delta: float) -> AuditReport:
             )
         )
 
-    counts = stats.proposals_per_girl
     bad = [
         {"girl": j, "count": c}
-        for j, c in enumerate(counts)
+        for j, c in enumerate(per_girl)
         if not girl_lo <= c <= girl_hi
     ]
-    worst = max(counts) if max(counts) > girl_hi else min(counts)
+    worst = max(per_girl) if max(per_girl) > girl_hi else min(per_girl)
     add("girl_proposal_window", girl_lo, girl_hi, worst, bad)
 
     bad = [
         {"boy": b, "runs": r}
-        for b, r in enumerate(stats.runs_per_boy)
+        for b, r in enumerate(runs_per_boy)
         if r > run_starts_hi
     ]
-    add("boy_run_starts", None, run_starts_hi, max(stats.runs_per_boy), bad)
+    add("boy_run_starts", None, run_starts_hi, max(runs_per_boy), bad)
 
     bad = [
         {"boy": b, "fresh_length": fresh}
@@ -596,10 +616,10 @@ def reference_audit(stats: RunStats, n: int, delta: float) -> AuditReport:
 
     bad = [
         {"boy": b, "proposals": c}
-        for b, c in enumerate(stats.proposals_per_boy)
+        for b, c in enumerate(per_boy)
         if c > boy_total_hi
     ]
-    add("boy_total_proposals", None, boy_total_hi, max(stats.proposals_per_boy), bad)
+    add("boy_total_proposals", None, boy_total_hi, max(per_boy), bad)
 
     bad = []
     worst = 0

@@ -63,7 +63,8 @@ from stablematch.matching import (
     stable_husbands,
 )
 from stablematch.oracle import enumerate_stable
-from stablematch.random_model import audit_window_stats, run as run_process
+from stablematch.random_model import audit_window_stats, entity_totals
+from stablematch.random_model import run as run_process
 from stablematch.rng import derive_seed
 
 from oracles import (
@@ -411,9 +412,9 @@ def test_criterion_8_window_audits():
     2*n**delta] = [4, 16]), the expected number of girls outside is
     1024*q = 47.11 (43.33 below, 3.79 above) and its standard deviation is
     at most sqrt(1024*q*(1-q)) = 6.70 (the exact multinomial value is 6.34).
-    The count, read from proposals_per_girl against the integer bounds,
-    must lie within 4 of those standard deviations: [20.3, 73.9]. The pinned
-    seed gives 40 (35 below, 5 above). The girl_proposal_window audit
+    The count, of the per-girl totals that `entity_totals` derives from
+    the tracked run, against the integer bounds, must lie within 4 of
+    those standard deviations: [20.3, 73.9]. The pinned seed gives 40 (35 below, 5 above). The girl_proposal_window audit
     itself asks for zero girls outside, which has probability about 1e-21,
     so its verdict is printed but not asserted.
     """
@@ -441,7 +442,7 @@ def test_criterion_8_window_audits():
     expected = n * q
     sd = math.sqrt(n * q * (1 - q))
     assert expected == pytest.approx(47.11, abs=0.01)
-    outside = sum(1 for c in stats.proposals_per_girl if not lo <= c <= hi)
+    outside = sum(1 for c in entity_totals(stats)[0] if not lo <= c <= hi)
     lines.append(
         f"girls outside [{lo}, {hi}]: {outside}, expected {expected:.2f} "
         f"+- 4 * {sd:.2f}"

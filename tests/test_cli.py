@@ -349,6 +349,12 @@ HUGE = 10**400
              "plot_data": True},
             [],
         ),
+        ({**BASE_CONFIG, "trials": 1}, ["--param", "c=null"]),
+        (
+            {"kind": "acceptance_dist", "n": 1, "trials": 1, "master_seed": 1},
+            ["--param", "m=5", "--param", "eps=null"],
+        ),
+        ({**BASE_CONFIG, "trials": 1}, ["--method", "b", "--param", "detla=0.3"]),
     ],
     ids=[
         "param-c-string",
@@ -372,6 +378,9 @@ HUGE = 10**400
         "audit-n-huge",
         "coupon-n-huge",
         "audit-plot-data",
+        "param-c-null",
+        "param-eps-null",
+        "param-key-unknown",
     ],
 )
 def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
@@ -556,7 +565,9 @@ def command_lines(draw):
             argv += draw(_opt("--method", st.sampled_from(["a", "b", "c"])))
             for _ in range(draw(st.integers(0, 2))):
                 key = draw(st.sampled_from(["c", "C", "delta", "eps", "m", "q="]))
-                value = draw(st.sampled_from(["0.3", "2", "1", "1e400", "x", '"x"']))
+                value = draw(
+                    st.sampled_from(["0.3", "2", "1", "1e400", "x", '"x"', "null"])
+                )
                 argv += ["--param", f"{key}={value}"]
         argv += draw(_opt("--workers", st.sampled_from(["1", "0", "-1", "x"])))
         argv += draw(_opt("--out", st.sampled_from(["@out", "@garbage.json/out"])))
@@ -601,6 +612,12 @@ def run_generated(root, argv: list[str], config) -> int:
 @example((["experiment", "--config", "@config.json"],
           {"kind": "equivalence", "n": 2, "trials": 2, "master_seed": 1,
            "gate": {"max_tv": float("nan")}}))
+@example((["experiment", "--kind", "theorem", "--n", "8", "--trials", "1", "--seed",
+           "1", "--param", "c=null"], None))
+@example((["experiment", "--kind", "acceptance_dist", "--n", "1", "--trials", "1",
+           "--seed", "1", "--param", "m=5", "--param", "eps=null"], None))
+@example((["experiment", "--kind", "theorem", "--method", "b", "--n", "8", "--trials",
+           "1", "--seed", "1", "--param", "detla=0.3"], None))
 # Sizes too large for a float.
 @example((["simulate", "--n", str(HUGE), "--seed", "1"], None))
 @example((["simulate", "--n", str(HUGE), "--seed", "1", "--audit", "0.3"], None))

@@ -116,6 +116,45 @@ class TestConfigValidation:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("theorem", {"c": None}),
+            ("acceptance_dist", {"m": 5, "eps": None}),
+            ("lemma_audit", {"delta": None}),
+        ],
+    )
+    def test_null_param_rejected(self, kind, params):
+        # A parameter given as null is not a number, even where the kind
+        # has no default for it.
+        key = next(k for k, v in params.items() if v is None)
+        with pytest.raises(ConfigError, match=f"params.{key} must be a number"):
+            ExperimentConfig.from_dict(
+                {"kind": kind, "n": 8, "trials": 1, "master_seed": 1, "params": params}
+            )
+
+    def test_unknown_param_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"params keys \['detla'\].*allowed"):
+            ExperimentConfig.from_dict(
+                {"kind": "theorem", "n": 8, "trials": 1, "master_seed": 1,
+                 "method": "b", "params": {"detla": 0.3}}
+            )
+        # A key of another kind is unknown too.
+        with pytest.raises(ConfigError, match="params keys"):
+            ExperimentConfig.from_dict(
+                {"kind": "coupon", "n": 8, "trials": 1, "master_seed": 1,
+                 "params": {"delta": 0.3}}
+            )
+
+    @pytest.mark.parametrize("entry", ["params", "gate"])
+    def test_unknown_keys_of_mixed_types_are_named(self, entry):
+        # A config built in Python may mix key types, which do not sort.
+        with pytest.raises(ConfigError, match=rf"{entry} keys \[1, 'x'\]"):
+            ExperimentConfig.from_dict(
+                {"kind": "coupon", "n": 4, "trials": 1, "master_seed": 1,
+                 entry: {1: 0.1, "x": 0.2}}
+            )
+
     def test_girl_out_of_range(self):
         with pytest.raises(ConfigError, match="girl"):
             ExperimentConfig.from_dict(

@@ -11,6 +11,7 @@ from stablematch import random_model
 from stablematch.random_model import (
     RunStats,
     audit_window_stats,
+    entity_totals,
     new_state,
     run,
 )
@@ -25,6 +26,7 @@ from oracles import (
     reference_step,
     repeated_pairs,
     seed_with_top_draw,
+    step_totals,
     tv_distance,
 )
 
@@ -61,7 +63,7 @@ class TestForcedPaths:
         for seed in range(50):
             _, stats = run(5, 0, seed, stop="cap", max_proposals=1)
             assert stats.redundant_proposals == 0
-            assert stats.runs_per_boy == [1, 1, 0, 0, 0]
+            assert entity_totals(stats)[2] == [1, 1, 0, 0, 0]
 
 
 class TestTransitionProbabilities:
@@ -128,11 +130,11 @@ class TestTransitionProbabilities:
 
 
 def assert_derived_counters(state):
-    """The counters the kernel settles at its exit agree with the counts it
-    keeps in the loop and with the tried rows."""
+    """A replay's girl and boy totals each sum to its proposals, and its
+    fresh and redundant counts agree with the tried rows."""
     stats = state.stats
     fresh = stats.t - stats.redundant_proposals
-    assert sum(stats.proposals_per_girl) == stats.t
+    assert sum(state.proposals_per_girl) == sum(state.proposals_per_boy) == stats.t
     assert fresh == sum(stats.nonredundant_per_girl) == sum(state.ntried)
     assert state.ntried == [sum(row) for row in state.proposed]
     assert stats.nonredundant_per_girl == [sum(col) for col in zip(*state.proposed)]
@@ -140,29 +142,25 @@ def assert_derived_counters(state):
 
 def assert_run_matches_steps(outputs, fast, state):
     """The fast loop's result agrees field by field with a reference step
-    replay."""
+    replay, and with tracking its per-entity totals with the replay's
+    step-by-step counts."""
     slow = state.stats
     assert fast.t == slow.t
-    assert fast.proposals_per_girl == slow.proposals_per_girl
     assert fast.nonredundant_per_girl == slow.nonredundant_per_girl
-    assert fast.proposals_per_boy == slow.proposals_per_boy
-    assert fast.runs_per_boy == slow.runs_per_boy
     assert fast.redundant_proposals == slow.redundant_proposals
     assert fast.outputs == slow.outputs == outputs
     assert fast.first_output_time == slow.first_output_time
     assert fast.acceptances_by_girl == slow.acceptances_by_girl
     assert fast.pre_output_acceptances == slow.pre_output_acceptances
     assert fast.pair_counts == repeated_pairs(slow.pair_counts)
-    # The fast loop flushes the run in progress at the stop.
-    tail = (
-        [(state.proposer, state.run_length, state.run_fresh)]
-        if state.run_length > 0
-        else []
-    )
+    # The final run is always recorded: the run in progress at the stop,
+    # even when it has made no proposal.
     if slow.run_lengths is None:
         assert fast.run_lengths is None
     else:
-        assert fast.run_lengths == slow.run_lengths + tail
+        final = (state.proposer, state.run_length, state.run_fresh)
+        assert fast.run_lengths == slow.run_lengths + [final]
+        assert entity_totals(fast) == step_totals(state)
     # Each girl's fresh count is her column count in the tried rows.
     assert fast.nonredundant_per_girl == [sum(col) for col in zip(*state.proposed)]
 
@@ -207,7 +205,7 @@ def test_conservation_after_every_step(n, seed, steps):
         assert fast.t == t and fast.stopped == "cap"
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
-        assert sum(fast.proposals_per_boy) == t
+        assert sum(entity_totals(fast)[1]) == t
         assert_derived_counters(state)
 
 
@@ -441,6 +439,34 @@ def test_run_equals_reference_replay(n, seed, stop, cap_rule, fixed_cap, shift, 
     assert_derived_counters(state)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    stop=st.sampled_from(["natural", "cap", "first_output"]),
+    cap=st.integers(1, 300),
+)
+def test_entity_totals_equal_step_counts(n, seed, stop, cap):
+    # The totals a tracked record leaves to entity_totals equal the same
+    # totals counted one proposal at a time by a reference replay, and the
+    # girls' and the boys' totals each sum to the proposals made.
+    girl = seed % n
+    cap = cap if stop == "cap" else None
+    state = reference_state(n, girl)
+    reference_run(state, Rng(seed), stop, cap)
+    _, stats = run(n, girl, seed, stop=stop, max_proposals=cap)
+    per_girl, per_boy, runs = entity_totals(stats)
+    assert (per_girl, per_boy, runs) == step_totals(state)
+    assert sum(per_girl) == sum(per_boy) == stats.t
+    assert sum(runs) == len(stats.run_lengths)
+
+
+def test_entity_totals_require_tracking():
+    _, stats = run(4, 0, 7, stop="cap", max_proposals=5, track=False)
+    with pytest.raises(ValueError, match="tracking"):
+        entity_totals(stats)
+
+
 class TestStopRules:
     def test_cap_exact(self):
         _, stats = run(6, 0, 9, stop="cap", max_proposals=57)
@@ -451,7 +477,7 @@ class TestStopRules:
         assert len(outputs) == 1
         assert stats.stopped == "first_output"
         assert stats.first_output_time == stats.t
-        assert min(stats.proposals_per_girl) >= 1
+        assert min(entity_totals(stats)[0]) >= 1
 
     def test_natural_runs_until_some_boy_exhausts(self):
         outputs, stats = run(5, 0, 123, stop="natural")
@@ -510,7 +536,7 @@ def test_outputs_distinct_and_acceptance_identity():
         boys = [b for b, _ in outputs]
         assert len(set(boys)) == len(boys)
         assert stats.acceptances_by_girl == len(outputs) + stats.pre_output_acceptances
-        assert sum(stats.proposals_per_girl) == stats.t
+        assert sum(entity_totals(stats)[0]) == stats.t
 
 
 def test_identity_holds_without_any_output():
@@ -562,15 +588,16 @@ class TestAudit:
         assert doc["cap"] == cap and set(doc["checks"]) == names
 
     def test_synthetic_pair_violation_names_the_pair(self):
+        # Boy 2 proposes to girl 1 three times over two runs, once fresh;
+        # girl 1 receives 3 proposals, in her window [1, 3.03], and every
+        # other count is inside its bound.
         n, delta = 4, 0.3
         stats = RunStats(n=n, girl=0)
         stats.t = 6  # floor(4 ** 1.3)
-        stats.proposals_per_girl = [2, 2, 1, 1]
-        stats.nonredundant_per_girl = [2, 2, 1, 1]
-        stats.proposals_per_boy = [2, 1, 3, 0]
-        stats.runs_per_boy = [1, 1, 1, 0]
-        stats.run_lengths = [(0, 2, 2), (1, 2, 2), (2, 2, 2)]
+        stats.nonredundant_per_girl = [1, 1, 1, 1]
+        stats.run_lengths = [(0, 1, 1), (1, 1, 1), (2, 2, 1), (3, 1, 1), (2, 1, 0)]
         stats.pair_counts = [{}, {}, {1: 3}, {}]
+        assert entity_totals(stats) == ([1, 3, 1, 1], [1, 1, 3, 1], [1, 1, 2, 1])
         report = audit_window_stats(stats, delta)
         assert not report.passed
         failing = [c for c in report.checks if not c.passed]
@@ -597,39 +624,46 @@ def _audit_bounds(n: int, delta: float) -> tuple[int, dict]:
         n=n,
         girl=0,
         t=cap,
-        proposals_per_girl=[0] * n,
         nonredundant_per_girl=[0] * n,
-        proposals_per_boy=[0] * n,
-        runs_per_boy=[0] * n,
         run_lengths=[],
         pair_counts=[{} for _ in range(n)],
     )
-    return cap, {c.name: c for c in reference_audit(zero, n, delta).checks}
+    totals = ([0] * n, [0] * n, [0] * n)
+    return cap, {c.name: c for c in reference_audit(zero, n, delta, totals).checks}
 
 
 def _around(bound: float) -> list:
-    """The bound itself (a float), the integers either side of it, and one
-    further out on each side; every bound is at least 1, so none is
-    negative."""
+    """The integers either side of the bound (the bound itself if it is
+    one), and one further out on each side; every bound is at least 1, so
+    none is negative."""
     lo, hi = math.floor(bound), math.ceil(bound)
-    return sorted({bound, lo, hi, lo - 1, hi + 1})
+    return sorted({lo, hi, lo - 1, hi + 1})
 
 
 @st.composite
 def synthetic_audit_stats(draw, violate_all: bool = False):
-    """(stats, n, delta, full pair counts) for a RunStats whose counts sit
-    on and about each check's bounds. Each check is forced to have a
-    violation with some probability, run_lengths may be empty, and no pair
-    may repeat; with violate_all, every check has a violation. The full
-    counts list, in girl order, every tried pair with its count, at least
-    one pair in all (as a run with t >= 1 has); stats.pair_counts is their
-    restriction to the repeated pairs."""
+    """(stats, n, delta, full pair counts, totals) for a RunStats whose
+    counts sit on and about each check's bounds.
+
+    totals are each girl's proposals, each boy's proposals and each boy's
+    run count, drawn first; the record's logs are then built to give them.
+    A girl's proposals beyond her fresh ones are spread over repeats of
+    pairs with her, and a boy's proposals are split over his runs, each
+    run but his last drawn about the run bound or as an even share of what
+    is left. Each check is forced to have a violation with some
+    probability, run_lengths may be empty, and no pair may repeat; with
+    violate_all, every check has a violation. The full counts list, in
+    girl order, every tried pair with its count, at least one pair in all
+    (as a run with t >= 1 has); stats.pair_counts is their restriction to
+    the repeated pairs."""
     n = draw(st.integers(1, 12))
     delta = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
     cap, checks = _audit_bounds(n, delta)
 
-    def values(bounds, size):
-        near = [x for b in bounds for x in _around(b)]
+    def values(bounds, size, exact=False):
+        # Counts are integers; with exact, the float bounds themselves are
+        # drawn too.
+        near = [x for b in bounds for x in _around(b)] + (bounds if exact else [])
         return draw(
             st.lists(
                 st.sampled_from(near) | st.integers(0, math.ceil(max(bounds)) + 2),
@@ -647,62 +681,97 @@ def synthetic_audit_stats(draw, violate_all: bool = False):
     per_girl = values([window.lower, window.upper], n)
     force(per_girl, math.floor(window.upper) + 1)
     force(per_girl, math.ceil(window.lower) - 1)
-    runs = values([checks["boy_run_starts"].upper], n)
-    force(runs, math.floor(checks["boy_run_starts"].upper) + 1)
-    boy_total = checks["boy_total_proposals"].upper
-    per_boy = values([boy_total], n)
-    force(per_boy, math.floor(boy_total) + 1)
     floor = checks["girl_fresh_floor"].lower
     fresh = values([floor], n)
     force(fresh, math.ceil(floor) - 1)
 
-    run_hi = checks["run_total_length"].upper
-    size = draw(st.integers(1 if violate_all else 0, 2 * n))
-    lengths = list(zip(
-        draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
-        values([run_hi], size),
-        values([run_hi], size),
-    ))
-    if lengths and (violate_all or draw(st.booleans())):
-        b, _, f = lengths[0]
-        lengths[0] = (b, math.floor(run_hi) + 1, f)
-    if lengths and (violate_all or draw(st.booleans())):
-        b, total, _ = lengths[-1]
-        lengths[-1] = (b, total, math.floor(run_hi) + 1)
-
     pair_hi = checks["pair_repeat_proposals"].upper
-    repeats = violate_all or draw(st.booleans())
-    pairs = []
-    for _ in range(n):
-        girls = sorted(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
-        counts = values([pair_hi], len(girls)) if repeats else [1] * len(girls)
-        pairs.append({j: max(c, 1) for j, c in zip(girls, counts)})
-    if violate_all:
-        pairs[-1][0] = math.floor(pair_hi) + 1
-        pairs[-1] = dict(sorted(pairs[-1].items()))
-    elif not any(pairs):
+    pairs = [
+        dict.fromkeys(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)), 1)
+        for _ in range(n)
+    ]
+    if not any(pairs):
         pairs[0][0] = 1
+    if violate_all or draw(st.booleans()):
+        fresh = [min(f, c) for f, c in zip(fresh, per_girl)]
+        if violate_all or draw(st.booleans()):
+            # One pair past its bound, with the girl who has the most
+            # proposals (pushed past her window if she has too few).
+            need = math.floor(pair_hi)
+            j = per_girl.index(max(per_girl))
+            if per_girl[j] < need:
+                per_girl[j] = math.floor(window.upper) + 1
+            fresh[j] = min(fresh[j], per_girl[j] - need)
+            pairs[draw(st.integers(0, n - 1))][j] = need + 1
+        for j in range(n):
+            extra = per_girl[j] - fresh[j] - sum(pc.get(j, 1) - 1 for pc in pairs)
+            while extra:
+                repeats = min(max(values([pair_hi], 1)[0], 2), extra + 1) - 1
+                pc = pairs[draw(st.integers(0, n - 1))]
+                pc[j] = pc.get(j, 1) + repeats
+                extra -= repeats
+        pairs = [dict(sorted(pc.items())) for pc in pairs]
+    else:
+        # No pair repeats: every proposal is fresh.
+        per_girl = list(fresh)
+
+    starts_hi = checks["boy_run_starts"].upper
+    runs = values([starts_hi], n)
+    force(runs, math.floor(starts_hi) + 1)
+    boy_total = checks["boy_total_proposals"].upper
+    per_boy = values([boy_total], n)
+    force(per_boy, math.floor(boy_total) + 1)
+    run_hi = checks["run_total_length"].upper
+    long_run = violate_all or draw(st.booleans())
+    long_boy = per_boy.index(max(per_boy))
+    if long_run:
+        # The first run of the boy with the most proposals is past the
+        # run bound (boy_total >= run_hi, so a forced boy total is enough).
+        per_boy[long_boy] = max(per_boy[long_boy], math.floor(run_hi) + 1)
+    if not (violate_all or draw(st.integers(0, 4))):
+        # No run recorded.
+        runs = per_boy = [0] * n
+    # A boy who made proposals began a run.
+    runs = [max(r, 1) if total else r for r, total in zip(runs, per_boy)]
+    lengths = []
+    for b in range(n):
+        left = per_boy[b]
+        for i in range(runs[b]):
+            if i == runs[b] - 1:
+                total = left
+            elif long_run and b == long_boy and i == 0:
+                total = math.floor(run_hi) + 1
+            else:
+                # At least an even share of what is left, so that the last
+                # run is no longer than needed.
+                share = -(-left // (runs[b] - i))
+                total = min(left, max(share, values([run_hi], 1)[0]))
+            lengths.append((b, total))
+            left -= total
+    fresh_lengths = values([run_hi], len(lengths), exact=True)
+    if lengths and (violate_all or draw(st.booleans())):
+        fresh_lengths[-1] = math.floor(run_hi) + 1
+    order = draw(st.permutations(range(len(lengths))))
 
     stats = RunStats(
         n=n,
         girl=0,
         t=cap,
-        proposals_per_girl=per_girl,
         nonredundant_per_girl=fresh,
-        proposals_per_boy=per_boy,
-        runs_per_boy=runs,
-        run_lengths=lengths,
+        run_lengths=[(*lengths[i], fresh_lengths[i]) for i in order],
         pair_counts=repeated_pairs(pairs),
     )
-    return stats, n, delta, pairs
+    return stats, n, delta, pairs, (per_girl, per_boy, runs)
 
 
-def assert_audit_equals_reference(stats, n, delta, full_pairs):
-    """The audit of `stats` equals the reference audit of the same counts
-    with the full pair counts `full_pairs`."""
+def assert_audit_equals_reference(stats, n, delta, full_pairs, totals):
+    """The record's logs give `totals`, and its audit equals the reference
+    audit of the same record with the full pair counts `full_pairs` and
+    those totals."""
+    assert entity_totals(stats) == totals
     report = audit_window_stats(stats, delta)
     expected = reference_audit(
-        dataclasses.replace(stats, pair_counts=full_pairs), n, delta
+        dataclasses.replace(stats, pair_counts=full_pairs), n, delta, totals
     )
     # Equal reports: every violation in order, and each float worst.
     assert report == expected
@@ -725,7 +794,7 @@ class TestAuditEqualsReference:
         reference_run(state, Rng(seed), "cap", cap)
         full = full_pair_counts(state)
         assert repeated_pairs(full) == stats.pair_counts
-        assert_audit_equals_reference(stats, n, delta, full)
+        assert_audit_equals_reference(stats, n, delta, full, step_totals(state))
 
     @settings(max_examples=200, deadline=None)
     @given(synthetic_audit_stats())
@@ -741,21 +810,19 @@ class TestAuditEqualsReference:
     @pytest.mark.parametrize("pair_counts", [[], [{}, {}, {}]])
     def test_empty_runs_and_pairs(self, pair_counts):
         # No run recorded and no pair repeated: the pair dicts are empty,
-        # and every pair tried was proposed to once.
+        # every pair tried was proposed to once, and no boy has a run.
         n, delta = 3, 0.3
         stats = RunStats(
             n=n,
             girl=0,
             t=math.floor(n ** (1 + delta)),
-            proposals_per_girl=[1, 2, 1],
             nonredundant_per_girl=[1, 1, 1],
-            proposals_per_boy=[2, 1, 1],
-            runs_per_boy=[1, 1, 0],
             run_lengths=[],
             pair_counts=pair_counts,
         )
         full = [{0: 1, 1: 1}, {2: 1}, {}]
-        report = assert_audit_equals_reference(stats, n, delta, full)
+        totals = ([1, 1, 1], [0] * n, [0] * n)
+        report = assert_audit_equals_reference(stats, n, delta, full, totals)
         worst = {c.name: c.worst for c in report.checks}
         assert worst["run_fresh_length"] == 0.0
         assert worst["run_total_length"] == 0.0
