@@ -31,7 +31,10 @@ def _emit(doc: object) -> None:
 def _load_matching(path: str, n: int) -> Matching:
     """A matching file: a list of n husband entries, or an object holding
     it under "husband_of"; each entry a boy index or null."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("matching document is nested too deep to parse")
     if isinstance(doc, dict) and "husband_of" not in doc:
         raise ValueError("matching document has no 'husband_of' list")
     rows = doc["husband_of"] if isinstance(doc, dict) else doc
@@ -42,7 +45,7 @@ def _load_matching(path: str, n: int) -> Matching:
             raise ValueError(
                 f"husband_of[{g}] must be a boy index or null, got {json.dumps(b)}"
             )
-    return Matching.from_husbands(rows)
+    return Matching(rows)
 
 
 def _letters(inst: instance_mod.PreferenceInstance) -> bool:
@@ -173,7 +176,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 raise ConfigError(f"--param needs key=value, got {item!r}")
             try:
                 params[key] = json.loads(value)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 raise ConfigError(f"--param value for {key!r} is not valid JSON")
         config = ExperimentConfig.from_dict(
             {

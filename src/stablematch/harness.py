@@ -44,16 +44,6 @@ from .random_model import _acceptance_limit, audit_window, audit_window_stats
 from .random_model import run as run_process
 from .rng import Rng, derive_seed, mix64
 
-CSV_COLUMNS = (
-    "trial",
-    "seed",
-    "husband_count",
-    "first_output_time",
-    "accept_pre_output",
-    "elapsed_us",
-)
-
-
 class ConfigError(ValueError):
     """The experiment configuration is invalid; nothing was run."""
 
@@ -114,7 +104,7 @@ class ExperimentConfig:
     def from_json_file(path: str | Path) -> "ExperimentConfig":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         return ExperimentConfig.from_dict(doc)
 
@@ -218,8 +208,9 @@ def _params(config: ExperimentConfig) -> dict:
 
 
 class TrialResult(NamedTuple):
-    """One trial's row of trials.csv. Workers send rows back as plain
-    tuples, which pickle faster, and the parent rebuilds them."""
+    """One trial's row of trials.csv, whose header is these field names.
+    Workers send rows back as plain tuples, which pickle faster, and the
+    parent rebuilds them."""
 
     trial: int
     seed: int
@@ -704,7 +695,7 @@ def write_outputs(
         path = out / name
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow(TrialResult._fields)
             writer.writerows(rows[i * per_block : (i + 1) * per_block])
         written.append(path)
         if config.plot_data:

@@ -1,10 +1,11 @@
-"""Preference instances: two n-by-n preference tables plus derived ranks.
+"""Preference instances: two n-by-n preference tables.
 
 An instance holds, for each of n girls, a permutation of the n boys ordered
 favorite-first, and symmetrically for the boys. Girls and boys live in
-separate index spaces 0..n-1. Rank tables are precomputed inverses so
-"does girl g prefer boy a to boy b" is a single comparison, which the
-proposal algorithms rely on in their inner loops.
+separate index spaces 0..n-1. Rank tables, the inverses of the rows, are
+derived on first read and cached, so "does girl g prefer boy a to boy b"
+is a single comparison in the proposal algorithms' inner loops; a side
+nobody ranks by is never built.
 
 Instances are immutable and safe to share across workers.
 """
@@ -13,8 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .rng import Rng
 
@@ -38,25 +40,33 @@ class PreferenceInstance:
     """Immutable preference tables for n girls and n boys.
 
     girl_prefs[g] lists boy indices favorite-first; girl_rank[g][b] is the
-    position of boy b in that list (0 = favorite). Boys symmetric.
+    position of boy b in that list (0 = favorite). Boys symmetric. The
+    rank tables are cached on first read; `cached_property` writes the
+    instance __dict__ directly, which a frozen dataclass allows.
     """
 
-    n: int
     girl_prefs: Prefs
     boy_prefs: Prefs
-    girl_rank: Prefs
-    boy_rank: Prefs
+
+    @property
+    def n(self) -> int:
+        return len(self.girl_prefs)
+
+    @cached_property
+    def girl_rank(self) -> Prefs:
+        return _ranks(self.girl_prefs)
+
+    @cached_property
+    def boy_rank(self) -> Prefs:
+        return _ranks(self.boy_prefs)
 
     @staticmethod
     def from_prefs(
         girl_prefs: Sequence[Sequence[int]], boy_prefs: Sequence[Sequence[int]]
     ) -> "PreferenceInstance":
-        """Build an instance from preference rows, deriving the rank tables."""
-        gp = tuple(map(tuple, girl_prefs))
-        bp = tuple(map(tuple, boy_prefs))
-        n = len(gp)
+        """Build an instance from preference rows of any sequence type."""
         return PreferenceInstance(
-            n=n, girl_prefs=gp, boy_prefs=bp, girl_rank=_ranks(gp), boy_rank=_ranks(bp)
+            tuple(map(tuple, girl_prefs)), tuple(map(tuple, boy_prefs))
         )
 
 
@@ -130,57 +140,48 @@ def fixture_4x4() -> PreferenceInstance:
     return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)
 
 
-def _row_problems(side: str, i: int, row: object, n: int):
-    """Yield (kind, message) for each fault of one preference row: a wrong
-    length, then every entry that is not an integer, out of range, or a
-    repeat. Kinds are those of InstanceLoadError."""
-    if not isinstance(row, (list, tuple)) or len(row) != n:
-        size = len(row) if isinstance(row, (list, tuple)) else type(row).__name__
-        yield "size-mismatch", f"{side} {i}: row has length {size}, expected {n}"
-        return
-    seen: set[int] = set()
-    for v in row:
-        if not isinstance(v, int) or isinstance(v, bool):
-            yield "malformed", f"{side} {i}: non-integer entry {v!r}"
-        elif not 0 <= v < n:
-            yield "out-of-range", f"{side} {i}: entry {v} out of range [0, {n})"
-        elif v in seen:
-            yield "duplicate", f"{side} {i}: duplicate {v} in preference row"
-        else:
-            seen.add(v)
+def _size(rows: object) -> int | str:
+    """The length of a list or tuple, else the name of its type."""
+    return len(rows) if isinstance(rows, (list, tuple)) else type(rows).__name__
+
+
+def _problems(
+    n: int, girl_prefs: object, boy_prefs: object
+) -> Iterator[tuple[str, str]]:
+    """Yield (kind, message) for each fault of the two tables against size
+    n: a side with the wrong number of rows, or a row of the wrong length,
+    then every entry that is not an integer, out of range, or a repeat.
+    Kinds are those of InstanceLoadError."""
+    for side, rows in (("girl", girl_prefs), ("boy", boy_prefs)):
+        if (size := _size(rows)) != n:
+            yield "size-mismatch", f"{side}_prefs must have exactly {n} rows, got {size}"
+            continue
+        for i, row in enumerate(rows):
+            if (size := _size(row)) != n:
+                yield "size-mismatch", f"{side} {i}: row has length {size}, expected {n}"
+                continue
+            seen: set[int] = set()
+            for v in row:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    yield "malformed", f"{side} {i}: non-integer entry {v!r}"
+                elif not 0 <= v < n:
+                    yield "out-of-range", f"{side} {i}: entry {v} out of range [0, {n})"
+                elif v in seen:
+                    yield "duplicate", f"{side} {i}: duplicate {v} in preference row"
+                else:
+                    seen.add(v)
 
 
 def validate(instance: PreferenceInstance) -> list[str]:
     """All invariant violations in the instance, empty if it is well formed.
 
-    Never raises; each entry names the offending row or table cell.
+    Never raises; each entry names the offending table or row.
     """
     n = instance.n
     if n < 1:
         return [f"n must be >= 1, got {n}"]
-    problems: list[str] = []
-    for side, prefs, ranks in (
-        ("girl", instance.girl_prefs, instance.girl_rank),
-        ("boy", instance.boy_prefs, instance.boy_rank),
-    ):
-        if len(prefs) != n:
-            problems.append(f"{side}_prefs has {len(prefs)} rows, expected {n}")
-            continue
-        if len(ranks) != n:
-            problems.append(f"{side}_rank has {len(ranks)} rows, expected {n}")
-            continue
-        for i, row in enumerate(prefs):
-            row_problems = [message for _, message in _row_problems(side, i, row, n)]
-            problems.extend(row_problems)
-            if row_problems:
-                continue
-            for pos, who in enumerate(row):
-                if ranks[i][who] != pos:
-                    problems.append(
-                        f"{side}_rank[{i}][{who}] = {ranks[i][who]}, "
-                        f"expected {pos} (inverse of preference row)"
-                    )
-    return problems
+    problems = _problems(n, instance.girl_prefs, instance.boy_prefs)
+    return [message for _, message in problems]
 
 
 def save(instance: PreferenceInstance, destination: str | Path) -> None:
@@ -194,14 +195,15 @@ def save(instance: PreferenceInstance, destination: str | Path) -> None:
 
 
 def load(source: str | Path) -> PreferenceInstance:
-    """Read an instance document, rebuilding rank tables.
+    """Read an instance document.
 
     Raises InstanceLoadError with kind "malformed", "size-mismatch",
-    "out-of-range" or "duplicate".
+    "out-of-range" or "duplicate"; a document nested too deep to parse is
+    "malformed".
     """
     try:
         doc = json.loads(Path(source).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InstanceLoadError("malformed", f"cannot parse instance document: {exc}")
     return from_dict(doc)
 
@@ -209,8 +211,8 @@ def load(source: str | Path) -> PreferenceInstance:
 def from_dict(doc: object) -> PreferenceInstance:
     """Build and check an instance from an already-parsed JSON document.
 
-    Raises the first fault found, with its kind; the rank tables are then
-    derived from rows already checked, so the result always validates.
+    Raises the first fault found, with its kind, so the result always
+    validates.
     """
     if not isinstance(doc, dict):
         raise InstanceLoadError("malformed", "instance document must be an object")
@@ -222,14 +224,6 @@ def from_dict(doc: object) -> PreferenceInstance:
         raise InstanceLoadError("malformed", f"missing key {exc} in instance document")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceLoadError("malformed", f"n must be a positive integer, got {n!r}")
-    for side, rows in (("girl", girl_prefs), ("boy", boy_prefs)):
-        if not isinstance(rows, list) or len(rows) != n:
-            raise InstanceLoadError(
-                "size-mismatch",
-                f"{side}_prefs must have exactly {n} rows, got "
-                f"{len(rows) if isinstance(rows, list) else type(rows).__name__}",
-            )
-        for i, row in enumerate(rows):
-            for kind, message in _row_problems(side, i, row, n):
-                raise InstanceLoadError(kind, message)
+    for kind, message in _problems(n, girl_prefs, boy_prefs):
+        raise InstanceLoadError(kind, message)
     return PreferenceInstance.from_prefs(girl_prefs, boy_prefs)

@@ -6,8 +6,8 @@ concurrent calls on shared instances are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .instance import PreferenceInstance
 
@@ -22,17 +22,19 @@ class BlockingPair:
 
 @dataclass(frozen=True)
 class Matching:
-    """A possibly partial girl-boy pairing, stored from both sides.
+    """A possibly partial girl-boy pairing.
 
-    husband_of[g] is the boy married to girl g (None if unmatched) and
-    wife_of[b] the mirror image; the two views are kept mutually consistent.
+    husband_of[g] is the boy married to girl g (None if unmatched). Its
+    mirror image wife_of[b] is derived at construction, which rejects a
+    boy index out of range and a boy married to two girls, so every
+    Matching is consistent.
     """
 
     husband_of: tuple[int | None, ...]
-    wife_of: tuple[int | None, ...]
+    wife_of: tuple[int | None, ...] = field(init=False, compare=False, repr=False)
 
-    @staticmethod
-    def from_husbands(husband_of: Sequence[int | None]) -> "Matching":
+    def __post_init__(self) -> None:
+        husband_of = tuple(self.husband_of)
         n = len(husband_of)
         wife: list[int | None] = [None] * n
         for g, b in enumerate(husband_of):
@@ -43,7 +45,8 @@ class Matching:
             if wife[b] is not None:
                 raise ValueError(f"boy {b} is married to two girls")
             wife[b] = g
-        return Matching(tuple(husband_of), tuple(wife))
+        object.__setattr__(self, "husband_of", husband_of)
+        object.__setattr__(self, "wife_of", tuple(wife))
 
     @property
     def n(self) -> int:
@@ -57,14 +60,6 @@ class Matching:
         for g, b in enumerate(self.husband_of):
             if b is not None:
                 yield g, b
-
-    def consistent(self) -> bool:
-        ok = all(
-            b is None or self.wife_of[b] == g for g, b in enumerate(self.husband_of)
-        )
-        return ok and all(
-            g is None or self.husband_of[g] == b for b, g in enumerate(self.wife_of)
-        )
 
 
 @dataclass(frozen=True)
@@ -112,22 +107,23 @@ def find_blocking_pairs(
 
     A pair blocks when the girl prefers the boy to her partner (an unmatched
     girl prefers anyone) and the boy symmetrically prefers the girl. The
-    matching may be partial but must be mutually consistent. Empty result
+    matching may be partial but must have the instance's size. Empty result
     means the matching is stable.
     """
-    if matching.n != instance.n or not matching.consistent():
-        raise ValueError("matching is inconsistent with itself or the instance")
+    n = instance.n
+    if matching.n != n:
+        raise ValueError(f"matching has size {matching.n}, instance has n={n}")
     girl_rank = instance.girl_rank
     boy_rank = instance.boy_rank
     out: list[BlockingPair] = []
-    for g in range(instance.n):
+    for g in range(n):
         husband = matching.husband_of[g]
-        g_bar = instance.n if husband is None else girl_rank[g][husband]
-        for b in range(instance.n):
+        g_bar = n if husband is None else girl_rank[g][husband]
+        for b in range(n):
             if girl_rank[g][b] >= g_bar:
                 continue
             wife = matching.wife_of[b]
-            b_bar = instance.n if wife is None else boy_rank[b][wife]
+            b_bar = n if wife is None else boy_rank[b][wife]
             if boy_rank[b][g] < b_bar:
                 out.append(BlockingPair(g, b))
     return out
@@ -158,7 +154,7 @@ def gale_shapley_boys_propose(instance: PreferenceInstance) -> Matching:
             free.append(current)
         else:
             free.append(b)
-    return Matching.from_husbands(husband)
+    return Matching(husband)
 
 
 def stable_husbands(
@@ -203,7 +199,7 @@ def stable_husbands(
         rows = list(husband)
         if extra is not None:
             rows[extra[0]] = extra[1]
-        return Matching.from_husbands(rows)
+        return Matching(rows)
 
     # Free-boy selection happens only before the first output: a displaced
     # boy proposes at once, and afterwards every girl but the designated one

@@ -49,7 +49,7 @@ def enumerate_stable(instance: PreferenceInstance) -> StableSet:
 
     def extend(g: int) -> None:
         if g == n:
-            found.append(Matching.from_husbands(husband))
+            found.append(Matching(husband))
             return
         for b in range(n):
             if used[b]:

@@ -1,0 +1,191 @@
+"""Mutation checks: small deliberate faults that named tests must catch.
+
+Each mutant gives a file, an exact text that occurs in it once, the text
+that replaces it, and the tests expected to fail once it is applied. For
+each mutant the script copies src/, tests/ and pyproject.toml to a
+temporary directory, applies the mutant there, runs the named tests with
+pytest, and reports the mutant killed if they fail. It writes nothing in
+the checkout. Run it as:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 3 5      # mutants 3 and 5 only (1-based)
+
+Before any mutant, the named tests run once on an unmutated copy, so a
+test that fails on its own cannot pass for a kill. The exit status is 0
+when every mutant is killed, 1 when one survives or no longer applies,
+and 2 when the unmutated run fails. Pytest does not collect this file.
+
+Two boundary mutants are left out because no test can kill them:
+`find_blocking_pairs`' `boy_rank[b][g] < b_bar` read as `<=` differs only
+when g is b's wife, and then the girl side has already skipped the pair;
+`stable_husbands`' `rank < best_rank[h]` read as `<=` differs only when a
+boy offers to the same girl twice, which his advancing list rules out.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+INSTANCE = "src/stablematch/instance.py"
+MATCHING = "src/stablematch/matching.py"
+
+MUTANTS = [
+    Mutant(
+        "rank table stores the row instead of its inverse",
+        INSTANCE,
+        "            rank[who] = pos\n",
+        "            rank[pos] = who\n",
+        ("tests/test_instance.py::TestStoredTables::test_rank_tables_invert_the_rows",),
+    ),
+    Mutant(
+        "girl rank table built from the boys' rows",
+        INSTANCE,
+        "        return _ranks(self.girl_prefs)\n",
+        "        return _ranks(self.boy_prefs)\n",
+        ("tests/test_acceptance.py::test_criterion_1_fixture_exactness",),
+    ),
+    Mutant(
+        "out-of-range preference entry accepted",
+        INSTANCE,
+        "                elif not 0 <= v < n:\n",
+        "                elif not 0 <= v <= n:\n",
+        ("tests/test_instance.py::TestSaveLoad::test_entry_equal_to_n_is_out_of_range",),
+    ),
+    Mutant(
+        "duplicate preference entry accepted",
+        INSTANCE,
+        "                elif v in seen:\n",
+        "                elif False:\n",
+        (
+            "tests/test_instance.py::TestValidate::test_duplicate_entry_names_row",
+            "tests/test_instance.py::TestSaveLoad::test_duplicate_row_entry",
+        ),
+    ),
+    Mutant(
+        "instance document nested too deep ends in RecursionError",
+        INSTANCE,
+        "    except (OSError, json.JSONDecodeError, RecursionError) as exc:\n",
+        "    except (OSError, json.JSONDecodeError) as exc:\n",
+        ("tests/test_instance.py::TestSaveLoad::test_deeply_nested_document",),
+    ),
+    Mutant(
+        "boy married to two girls accepted",
+        MATCHING,
+        "            if wife[b] is not None:\n",
+        "            if False:\n",
+        ("tests/test_matching.py::TestMatchingType::test_duplicate_boy_rejected",),
+    ),
+    Mutant(
+        "husband index n accepted",
+        MATCHING,
+        "            if not 0 <= b < n:\n",
+        "            if not 0 <= b <= n:\n",
+        ("tests/test_matching.py::TestMatchingType::test_out_of_range_boy_rejected[n]",),
+    ),
+    Mutant(
+        "blocking pair test reads the boy's preference backwards",
+        MATCHING,
+        "            if boy_rank[b][g] < b_bar:\n",
+        "            if boy_rank[b][g] > b_bar:\n",
+        ("tests/test_matching.py::TestBlockingPairs::test_unstable_example",),
+    ),
+    Mutant(
+        "search girl accepts a worse offer",
+        MATCHING,
+        "        accepted = best_rank[h] is None or rank < best_rank[h]\n",
+        "        accepted = best_rank[h] is None or rank > best_rank[h]\n",
+        ("tests/test_acceptance.py::test_criterion_1_fixture_exactness",),
+    ),
+    Mutant(
+        "matching document nested too deep ends in RecursionError",
+        "src/stablematch/cli.py",
+        "    except RecursionError:\n",
+        "    except ArithmeticError:\n",
+        ("tests/test_cli.py::test_deeply_nested_json_is_a_named_error[matching]",),
+    ),
+    Mutant(
+        "--param value nested too deep ends in RecursionError",
+        "src/stablematch/cli.py",
+        "            except (json.JSONDecodeError, RecursionError):\n",
+        "            except json.JSONDecodeError:\n",
+        ("tests/test_cli.py::test_deeply_nested_json_is_a_named_error[param]",),
+    ),
+    Mutant(
+        "config file nested too deep ends in RecursionError",
+        "src/stablematch/harness.py",
+        "        except (OSError, json.JSONDecodeError, RecursionError) as exc:\n",
+        "        except (OSError, json.JSONDecodeError) as exc:\n",
+        ("tests/test_cli.py::test_deeply_nested_json_is_a_named_error[config]",),
+    ),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tests_pass(tree: Path, tests) -> bool:
+    """Whether every named test passes in the tree."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True,
+    )
+    return result.returncode == 0
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    mutants = [(i, MUTANTS[i - 1]) for i in chosen]
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        named = sorted({t for _, m in mutants for t in m.tests})
+        if not _tests_pass(clean, named):
+            print("the named tests fail on the unmutated tree; nothing checked")
+            return 2
+        survivors = []
+        for i, mutant in mutants:
+            tree = Path(tmp) / f"mutant{i}"
+            _copy_tree(tree)
+            target = tree / mutant.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                verdict = "not applied: the old text is not there exactly once"
+            else:
+                target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+                verdict = "SURVIVED" if _tests_pass(tree, mutant.tests) else "killed"
+            if verdict != "killed":
+                survivors.append(i)
+            print(f"{i:2d} {mutant.name} ({mutant.path}): {verdict}", flush=True)
+            shutil.rmtree(tree)
+    print(
+        f"{len(mutants) - len(survivors)} of {len(mutants)} killed; "
+        f"survivors: {', '.join(map(str, survivors)) or 'none'}"
+    )
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

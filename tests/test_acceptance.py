@@ -68,10 +68,12 @@ from stablematch.random_model import run as run_process
 from stablematch.rng import derive_seed
 
 from oracles import (
+    HUSBAND_LAW_N3,
     acceptance_pmf_convolution,
     acceptance_pmf_cycle_recurrence,
     binomial_pmf,
     boy_optimal_matching,
+    chi_square,
     husband_set,
     lower_tail,
     rotation_chain_husbands,
@@ -217,6 +219,27 @@ def test_criterion_3_model_equivalence(equivalence_run):
     tv = report["blocks"][0]["tv_distance"]
     assert tv <= 0.05, f"total-variation distance {tv}"
     print(f"criterion 3: tv distance {tv:.4f}, {elapsed:.1f} s")
+
+
+# The chi-square quantile at alpha = 0.001 with 2 degrees of freedom: counts
+# 1, 2 and 3 are the only outcomes at n = 3. Fixed before any sample.
+CHI_SQUARE_2DF_0001 = 13.82
+
+
+@pytest.mark.parametrize("method", ["a", "b"])
+def test_both_samplers_fit_the_exact_law_n3(equivalence_run, method):
+    """Each method's husband-count histogram from the criterion 3 campaign
+    against the exact law, by a chi-square goodness-of-fit test."""
+    report, _ = equivalence_run
+    block = report["blocks"][0]
+    histogram = dict(block[f"histogram_{method}"])
+    assert set(histogram) <= set(HUSBAND_LAW_N3), histogram
+    trials = sum(histogram.values())
+    assert trials == 20_000
+    counts = [histogram.get(k, 0) for k in HUSBAND_LAW_N3]
+    expected = [trials * float(p) for p in HUSBAND_LAW_N3.values()]
+    stat = chi_square(counts, expected)
+    assert stat <= CHI_SQUARE_2DF_0001, (method, counts, expected, stat)
 
 
 def test_criterion_4_acceptance_distribution():

@@ -311,6 +311,9 @@ class TestExperiment:
 BASE_CONFIG = {"kind": "theorem", "n": 8, "trials": 2, "master_seed": 1}
 # Too large for a float: every use overflows before anything is allocated.
 HUGE = 10**400
+# Nested past the recursion limit, as a file and as a --param value.
+DEEP_FILE = "[" * 100_000 + "]" * 100_000
+DEEP_PARAM = "[" * 5_000 + "]" * 5_000
 
 
 @pytest.mark.parametrize(
@@ -396,6 +399,28 @@ def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["husbands", "--instance", "@deep.json", "--girl", "0"],
+        ["check", "--instance", "@inst.json", "--matching", "@deep.json"],
+        ["experiment", "--config", "@deep.json"],
+        ["experiment", "--kind", "theorem", "--n", "4", "--trials", "1", "--seed",
+         "1", "--param", f"c={DEEP_PARAM}"],
+    ],
+    ids=["instance", "matching", "config", "param"],
+)
+def test_deeply_nested_json_is_a_named_error(capsys, tmp_path, argv):
+    save(fixture_4x4(), tmp_path / "inst.json")
+    (tmp_path / "deep.json").write_text(DEEP_FILE)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_huge_offer_count_is_named_before_any_allocation():
@@ -500,17 +525,20 @@ CONFIG = st.fixed_dictionaries(
 def files(tmp_path_factory):
     """Input files for generated command lines: a good instance, a good
     matching, a file that is not JSON, and one JSON value of the wrong
-    shape. Command lines name them as "@inst.json" and so on."""
+    shape, and one nested past the recursion limit. Command lines name them
+    as "@inst.json" and so on."""
     root = tmp_path_factory.mktemp("cli_inputs")
     save(fixture_4x4(), root / "inst.json")
     (root / "match.json").write_text("[3, 0, 1, 2]")
     (root / "garbage.json").write_text("{not json")
     (root / "shape.json").write_text('{"n": 2, "girl_prefs": [[0, 1]]}')
+    (root / "deep.json").write_text(DEEP_FILE)
     return root
 
 
 INPUTS = st.sampled_from(
-    ["@inst.json", "@match.json", "@garbage.json", "@shape.json", "@missing.json"]
+    ["@inst.json", "@match.json", "@garbage.json", "@shape.json", "@deep.json",
+     "@missing.json"]
 )
 
 
@@ -565,9 +593,9 @@ def command_lines(draw):
             argv += draw(_opt("--method", st.sampled_from(["a", "b", "c"])))
             for _ in range(draw(st.integers(0, 2))):
                 key = draw(st.sampled_from(["c", "C", "delta", "eps", "m", "q="]))
-                value = draw(
-                    st.sampled_from(["0.3", "2", "1", "1e400", "x", '"x"', "null"])
-                )
+                value = draw(st.sampled_from(
+                    ["0.3", "2", "1", "1e400", "x", '"x"', "null", DEEP_PARAM]
+                ))
                 argv += ["--param", f"{key}={value}"]
         argv += draw(_opt("--workers", st.sampled_from(["1", "0", "-1", "x"])))
         argv += draw(_opt("--out", st.sampled_from(["@out", "@garbage.json/out"])))
@@ -618,6 +646,12 @@ def run_generated(root, argv: list[str], config) -> int:
            "--seed", "1", "--param", "m=5", "--param", "eps=null"], None))
 @example((["experiment", "--kind", "theorem", "--method", "b", "--n", "8", "--trials",
            "1", "--seed", "1", "--param", "detla=0.3"], None))
+# JSON nested past the recursion limit at each parse site.
+@example((["husbands", "--instance", "@deep.json", "--girl", "0"], None))
+@example((["check", "--instance", "@inst.json", "--matching", "@deep.json"], None))
+@example((["experiment", "--config", "@deep.json"], None))
+@example((["experiment", "--kind", "theorem", "--n", "4", "--trials", "1", "--seed",
+           "1", "--param", f"c={DEEP_PARAM}"], None))
 # Sizes too large for a float.
 @example((["simulate", "--n", str(HUGE), "--seed", "1"], None))
 @example((["simulate", "--n", str(HUGE), "--seed", "1", "--audit", "0.3"], None))

@@ -392,7 +392,7 @@ class TestOutputs:
                 "seed",
                 "husband_count",
                 "first_output_time",
-                "accept_pre_output",
+                "pre_output_acceptances",
                 "elapsed_us",
             ]
             assert len(list(reader)) == 10

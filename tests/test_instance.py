@@ -18,6 +18,7 @@ from stablematch.instance import (
     save,
     validate,
 )
+from stablematch.matching import stable_husbands
 from stablematch.rng import Rng
 
 from oracles import reference_generate_uniform, seed_with_top_draw
@@ -49,6 +50,33 @@ class TestFixture:
 
     def test_fixture_is_valid(self):
         assert validate(fixture_4x4()) == []
+
+
+class TestStoredTables:
+    def test_only_preference_tables_are_fields(self):
+        names = [f.name for f in dataclasses.fields(PreferenceInstance)]
+        assert names == ["girl_prefs", "boy_prefs"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_search_builds_only_the_girl_rank_table(self, seed):
+        inst = generate_uniform(64, seed)
+        assert "girl_rank" not in vars(inst) and "boy_rank" not in vars(inst)
+        stable_husbands(inst, 0)
+        assert "girl_rank" in vars(inst)
+        assert "boy_rank" not in vars(inst)
+
+    @given(instances())
+    def test_rank_tables_invert_the_rows(self, inst):
+        assert inst.n == len(inst.girl_prefs) == len(inst.boy_prefs)
+        sides = ((inst.girl_prefs, inst.girl_rank), (inst.boy_prefs, inst.boy_rank))
+        for prefs, ranks in sides:
+            for row, rank in zip(prefs, ranks):
+                assert [rank[who] for who in row] == list(range(inst.n))
+
+    def test_equality_ignores_cached_tables(self):
+        read = fixture_4x4()
+        read.boy_rank
+        assert read == fixture_4x4() and hash(read) == hash(fixture_4x4())
 
 
 class TestGenerate:
@@ -165,15 +193,10 @@ class TestValidate:
         problems = validate(bad)
         assert any("girl 1" in p and "duplicate 0" in p for p in problems)
 
-    def test_corrupted_rank_table_names_cell(self):
+    def test_wrong_row_count_names_table(self):
         inst = fixture_4x4()
-        row = list(inst.girl_rank[0])
-        row[2], row[0] = row[0], row[2]
-        bad = dataclasses.replace(
-            inst, girl_rank=(tuple(row),) + inst.girl_rank[1:]
-        )
-        problems = validate(bad)
-        assert any("girl_rank[0]" in p for p in problems)
+        problems = validate(dataclasses.replace(inst, boy_prefs=inst.boy_prefs[:3]))
+        assert problems == ["boy_prefs must have exactly 4 rows, got 3"]
 
     def test_out_of_range_entry(self):
         inst = fixture_4x4()
@@ -211,6 +234,13 @@ class TestSaveLoad:
             load(path)
         assert err.value.kind == "malformed"
 
+    def test_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InstanceLoadError) as err:
+            load(path)
+        assert err.value.kind == "malformed"
+
     def test_missing_key(self):
         with pytest.raises(InstanceLoadError) as err:
             from_dict({"n": 2, "girl_prefs": [[0, 1], [1, 0]]})
@@ -235,6 +265,11 @@ class TestSaveLoad:
         with pytest.raises(InstanceLoadError) as err:
             from_dict(doc)
         assert err.value.kind == "out-of-range"
+
+    def test_entry_equal_to_n_is_out_of_range(self):
+        doc = {"n": 2, "girl_prefs": [[0, 1], [0, 1]], "boy_prefs": [[0, 1], [2, 0]]}
+        with pytest.raises(InstanceLoadError, match=r"boy 1: entry 2 out of range"):
+            from_dict(doc)
 
     def test_duplicate_row_entry(self):
         doc = {

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +11,7 @@ from stablematch.instance import PreferenceInstance, fixture_4x4
 from stablematch.matching import find_blocking_pairs
 from stablematch.oracle import OracleScaleError, enumerate_stable
 
-from oracles import husband_set, worst_husband
+from oracles import HUSBAND_LAW_N3, husband_set, worst_husband
 
 A, B, C, D = range(4)
 W, X, Y, Z = range(4)
@@ -83,3 +87,19 @@ def test_all_results_stable_distinct_and_nonempty(inst):
         seen.add(m.husband_of)
     for g in range(inst.n):
         assert stable.husband_sets[g] == {m.husband_of[g] for m in stable.matchings}
+
+
+def test_exact_husband_law_n3():
+    # Relabelling the boys maps every instance to one where girl 0 ranks
+    # them 0, 1, 2 and keeps her husband count, and it maps the same number
+    # of instances onto each of those. So the 6**5 instances with her row
+    # fixed give the law over all 6**6 exactly.
+    rows = list(itertools.permutations(range(3)))
+    counts: Counter = Counter()
+    for girls in itertools.product(rows, repeat=2):
+        for boys in itertools.product(rows, repeat=3):
+            inst = PreferenceInstance.from_prefs([(0, 1, 2), *girls], boys)
+            counts[len(enumerate_stable(inst).husband_sets[0])] += 1
+    total = sum(counts.values())
+    assert total == 6**5
+    assert {k: Fraction(v, total) for k, v in counts.items()} == HUSBAND_LAW_N3
