@@ -202,19 +202,21 @@ def optimize_tail(pgf: Pgf, direction: str, r: float) -> TailBound:
 
 
 def harmonic(m: int) -> float:
-    """H_m, summed directly up to 1e6 and by asymptotic expansion beyond."""
+    """H_m, summed directly (correctly rounded, by math.fsum) up to 1e6 and
+    by asymptotic expansion beyond, so that the two branches meet within
+    an ulp."""
     if m < 0:
         raise ValueError("harmonic number index must be nonnegative")
     if m <= 10**6:
-        return sum(1.0 / k for k in range(1, m + 1))
-    return math.log(m) + _EULER_GAMMA + 1.0 / (2.0 * m)
+        return math.fsum(1.0 / k for k in range(1, m + 1))
+    return math.log(m) + _EULER_GAMMA + 1.0 / (2.0 * m) - 1.0 / (12.0 * m * m)
 
 
 def harmonic_second(m: int) -> float:
-    """Second-order harmonic number sum_{k<=m} 1/k^2, summed directly up to
-    1e6 and by asymptotic expansion beyond."""
+    """Second-order harmonic number sum_{k<=m} 1/k^2, summed directly (by
+    math.fsum) up to 1e6 and by asymptotic expansion beyond."""
     if m <= 10**6:
-        return sum(1.0 / (k * k) for k in range(1, m + 1))
+        return math.fsum(1.0 / (k * k) for k in range(1, m + 1))
     return math.pi**2 / 6 - 1.0 / m + 1.0 / (2.0 * m * m) - 1.0 / (6.0 * m**3)
 
 

@@ -30,9 +30,12 @@ import json
 import math
 import os
 import time
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
+from itertools import repeat
 from operator import getitem, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -209,8 +212,8 @@ def _params(config: ExperimentConfig) -> dict:
 
 class TrialResult(NamedTuple):
     """One trial's row of trials.csv, whose header is these field names.
-    Workers send rows back as plain tuples, which pickle faster, and the
-    parent rebuilds them."""
+    A campaign keeps its rows in a TrialRows, which gives them back as
+    TrialResult."""
 
     trial: int
     seed: int
@@ -218,6 +221,64 @@ class TrialResult(NamedTuple):
     first_output_time: int | None
     pre_output_acceptances: int
     elapsed_us: int
+
+
+# first_output_time as stored for a row with no first output; a real time
+# is at least 1.
+_NO_OUTPUT = -1
+
+
+class TrialRows(Sequence):
+    """Trial rows as one typed array per TrialResult field, in field order:
+    'Q' for the u64 seed, 'q' for the rest. A campaign holds no Python
+    object per row, and a worker sends a range's rows as six arrays. An
+    index gives a TrialResult, a slice gives TrialRows."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, rows: Iterable[tuple] = ()) -> None:
+        self._columns = tuple(array(code) for code in "qQqqqq")
+        self.extend(rows)
+
+    def extend(self, rows: Iterable[tuple]) -> None:
+        """Append rows: tuples in TrialResult's field order, or TrialRows."""
+        if isinstance(rows, TrialRows):
+            columns = rows._columns
+        else:
+            columns = list(zip(*rows)) or [()] * len(self._columns)
+            columns[3] = [_NO_OUTPUT if t is None else t for t in columns[3]]
+        for mine, theirs in zip(self._columns, columns):
+            mine.extend(theirs)
+
+    def column(self, name: str) -> list:
+        """One field of every row, in row order; None where a row has no
+        first output."""
+        values = self._columns[TrialResult._fields.index(name)].tolist()
+        if name == "first_output_time":
+            return [None if t == _NO_OUTPUT else t for t in values]
+        return values
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = TrialRows()
+            for mine, theirs in zip(part._columns, self._columns):
+                mine.extend(theirs[index])
+            return part
+        return _result(column[index] for column in self._columns)
+
+    def __iter__(self):
+        return map(_result, zip(*self._columns))
+
+
+def _result(row: Iterable[int]) -> TrialResult:
+    """A TrialResult from a row of TrialRows' columns."""
+    row = TrialResult._make(row)
+    if row.first_output_time == _NO_OUTPUT:
+        return row._replace(first_output_time=None)
+    return row
 
 
 def summarize(values: list, envelope: tuple[float, float] | None = None) -> dict:
@@ -268,7 +329,7 @@ def tv_distance(counts_a: Counter, counts_b: Counter, t_a: int, t_b: int) -> flo
 
 def _row(trial: int, seed: int, start: int, outputs: list, stats) -> tuple:
     """A trial's row from its husbands and its RunStats or enumeration, as
-    a plain tuple: cheaper than a TrialResult to send back from a worker."""
+    the plain tuple that TrialRows packs into its columns."""
     elapsed = (time.perf_counter_ns() - start) // 1000
     return (
         trial,
@@ -316,13 +377,18 @@ def _trial_seeds(prefix: int, start: int, stop: int):
     return (mix64(prefix ^ mix64(trial)) for trial in range(start, stop))
 
 
-def _run_range(task: tuple) -> list[tuple]:
+def _run_range(task: tuple) -> tuple[TrialRows, list | None]:
     """One pool task: trials start..stop-1 of one stream, with their seeds
     folded here from the stream's prefix, and row indices shifted by the
-    stream's offset. The rows come back as plain tuples."""
-    trial, fixed, prefix, start, stop, offset = task
+    stream's offset. The rows come back as columns; when the trial gives
+    (row, extra) pairs (`paired`), its extras come back beside them as a
+    list, in row order, and otherwise None does."""
+    trial, fixed, prefix, start, stop, offset, paired = task
     seeds = _trial_seeds(prefix, start, stop)
-    return [trial(i + offset, seed, *fixed) for i, seed in enumerate(seeds, start)]
+    results = [trial(i + offset, seed, *fixed) for i, seed in enumerate(seeds, start)]
+    if not paired:
+        return TrialRows(results), None
+    return TrialRows(row for row, _ in results), [extra for _, extra in results]
 
 
 def _usable_cpus() -> int:
@@ -338,7 +404,7 @@ def _map_trials(
     trials: int,
     workers: int,
     extras: list | None = None,
-) -> list[TrialResult]:
+) -> TrialRows:
     """Run `trials` trials of each stream; rows follow the streams' order,
     then trial order, whatever the worker count.
 
@@ -352,8 +418,10 @@ def _map_trials(
     """
     pool = min(workers, _usable_cpus())
     parts = min(4 * pool, trials)
+    paired = extras is not None
     tasks = [
-        (trial, fixed, prefix, k * trials // parts, (k + 1) * trials // parts, offset)
+        (trial, fixed, prefix, k * trials // parts, (k + 1) * trials // parts, offset,
+         paired)
         for fixed, prefix, offset in streams
         for k in range(parts)
     ]
@@ -368,22 +436,20 @@ def _map_trials(
         return _collect(executor.map(_run_range, tasks), extras)
 
 
-def _collect(parts, extras) -> list[TrialResult]:
-    """TrialResult rows from the ranges' plain tuples, built as each range's
-    result arrives."""
-    rows: list[TrialResult] = []
-    for part in parts:
-        if extras is None:
-            rows.extend(map(TrialResult._make, part))
-            continue
-        for row, extra in part:
-            rows.append(TrialResult._make(row))
-            extras.append(extra)
+def _collect(parts, extras) -> TrialRows:
+    """The ranges' rows in one TrialRows, extended as each range's result
+    arrives; each range's extras are appended to `extras`."""
+    rows = TrialRows()
+    for part, part_extras in parts:
+        rows.extend(part)
+        if extras is not None:
+            extras.extend(part_extras)
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
-    """Execute the experiment; returns (report, trial rows).
+def run_experiment(config: ExperimentConfig) -> tuple[dict, Sequence[TrialResult]]:
+    """Execute the experiment; returns (report, trial rows), the rows as a
+    sequence of TrialResult.
 
     The report is a plain JSON-ready dictionary determined entirely by the
     logical configuration. Trial rows carry per-trial timings and are only
@@ -391,11 +457,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
     """
     validate_config(config)
     blocks = []
-    all_rows: list[TrialResult] = []
+    all_rows: TrialRows | None = None
     for n in config.sizes:
         block, rows = _KINDS[config.kind].run_block(config, n)
         blocks.append(block)
-        all_rows.extend(rows)
+        # The first size's rows are extended in place: a copy would double
+        # a one-size campaign's peak memory.
+        if all_rows is None:
+            all_rows = rows
+        else:
+            all_rows.extend(rows)
     report = {
         "config": config.to_logical_dict(),
         "kind": config.kind,
@@ -405,14 +476,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[TrialResult]]:
     return report, all_rows
 
 
-def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
+def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     p = _params(config)
     envelope = _bounds.husband_count_envelope(n, p["c"], p["C"], p["delta"], p["eps"])
     stream = ((n, config.girl, config.method), _seed_prefix(config, n), 0)
     results = _map_trials(
         _husband_count_trial, [stream], config.trials, config.workers
     )
-    counts = [r.husband_count for r in results]
+    counts = results.column("husband_count")
+    first_output = [t for t in results.column("first_output_time") if t is not None]
     block = {
         "n": n,
         "trials": config.trials,
@@ -420,17 +492,15 @@ def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
         "girl": config.girl,
         "envelope": envelope.to_dict(),
         "summary": summarize(counts, (envelope.lower, envelope.upper)),
-        "first_output": summarize(
-            [r.first_output_time for r in results if r.first_output_time is not None]
-        ),
+        "first_output": summarize(first_output),
         "pre_output_acceptances": summarize(
-            [r.pre_output_acceptances for r in results]
+            results.column("pre_output_acceptances")
         ),
     }
     return block, results
 
 
-def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
+def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     # Both samplers share one pool, each cut into ranges as if it had its
     # own: larger tasks raise the workers' peak memory. Method b's rows
     # follow method a's, while its seeds fold trials 0.. on stream 1.
@@ -441,9 +511,9 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list
     results = _map_trials(
         _husband_count_trial, streams, config.trials, config.workers
     )
-    results_a, results_b = results[: config.trials], results[config.trials :]
-    counts_a = Counter(r.husband_count for r in results_a)
-    counts_b = Counter(r.husband_count for r in results_b)
+    counts = results.column("husband_count")
+    counts_a = Counter(counts[: config.trials])
+    counts_b = Counter(counts[config.trials :])
     block = {
         "n": n,
         "trials_per_sampler": config.trials,
@@ -455,7 +525,7 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, list
     return block, results
 
 
-def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
+def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     delta = config.params["delta"]
     cap = audit_window(n, delta)
     stream = ((n, config.girl, delta, cap), _seed_prefix(config, n), 0)
@@ -492,7 +562,7 @@ def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
     return block, results
 
 
-def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
+def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     p = _params(config)
     m, eps = p["m"], p["eps"]
     # H_m first: an m too large for a float raises OverflowError here,
@@ -512,10 +582,16 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]
             start = time.perf_counter_ns()
             counts[i] += sum(map(lt, rng.block(len(limits)), limits))
             elapsed_ns[i] += time.perf_counter_ns() - start
-    results = [
-        TrialResult(i, seed, counts[i], None, 0, elapsed_ns[i] // 1000)
-        for i, seed in enumerate(_trial_seeds(prefix, 0, trials))
-    ]
+    results = TrialRows(
+        zip(
+            range(trials),
+            _trial_seeds(prefix, 0, trials),
+            counts,
+            repeat(None),
+            repeat(0),
+            (ns // 1000 for ns in elapsed_ns),
+        )
+    )
     expected_var = h_m - _bounds.harmonic_second(m)
     stderr = math.sqrt(expected_var / config.trials)
     mean = sum(counts) / len(counts)
@@ -539,12 +615,14 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, list]
     return block, results
 
 
-def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
+def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     stream = ((n, config.girl), _seed_prefix(config, n), 0)
     results = _map_trials(_coupon_trial, [stream], config.trials, config.workers)
-    times = [r.first_output_time for r in results]
+    times = results.column("first_output_time")
     window = _bounds.first_output_window(n)
     expected = n * _bounds.harmonic(n)
+    # The collector time's exact variance, n^2 H2_n - n H_n.
+    stderr = math.sqrt((n * n * _bounds.harmonic_second(n) - expected) / config.trials)
     mean = sum(times) / len(times)
     block = {
         "n": n,
@@ -552,6 +630,8 @@ def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, list]:
         "first_output": summarize(times),
         "expected_mean": expected,
         "mean_relative_error": abs(mean - expected) / expected,
+        # At n = 1 every time is 1 = 1 * H_1, and the variance is 0.
+        "mean_error_in_stderr": (mean - expected) / stderr if stderr else 0.0,
         "window": window,
         "within_window_fraction": (
             sum(1 for t in times if t <= window) / len(times)
@@ -600,7 +680,7 @@ class _Kind:
     their defaults (None where the config must give one), its gates, and
     the block's histogram that plot_data writes (None: the kind has none)."""
 
-    run_block: Callable[[ExperimentConfig, int], tuple[dict, list]]
+    run_block: Callable[[ExperimentConfig, int], tuple[dict, TrialRows]]
     params: dict
     gates: tuple[_Gate, ...]
     plot: tuple[str, ...] | None
@@ -677,7 +757,7 @@ def report_json(report: dict) -> str:
 
 
 def write_outputs(
-    config: ExperimentConfig, report: dict, rows: list[TrialResult]
+    config: ExperimentConfig, report: dict, rows: Sequence[TrialResult]
 ) -> list[Path]:
     """Write report.json, trials CSV, and optional plot TSV under out_dir."""
     if config.out_dir is None:

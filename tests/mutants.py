@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 INSTANCE = "src/stablematch/instance.py"
 MATCHING = "src/stablematch/matching.py"
+HARNESS = "src/stablematch/harness.py"
 
 MUTANTS = [
     Mutant(
@@ -129,10 +130,66 @@ MUTANTS = [
     ),
     Mutant(
         "config file nested too deep ends in RecursionError",
-        "src/stablematch/harness.py",
+        HARNESS,
         "        except (OSError, json.JSONDecodeError, RecursionError) as exc:\n",
         "        except (OSError, json.JSONDecodeError) as exc:\n",
         ("tests/test_cli.py::test_deeply_nested_json_is_a_named_error[config]",),
+    ),
+    Mutant(
+        "a row with no first output stored as time 0",
+        HARNESS,
+        "            columns[3] = [_NO_OUTPUT if t is None else t for t in columns[3]]\n",
+        "            columns[3] = [0 if t is None else t for t in columns[3]]\n",
+        ("tests/test_golden.py::test_trials_csv_digest[lemma_audit]",),
+    ),
+    Mutant(
+        "a row with no first output read back as -1",
+        HARNESS,
+        "    if row.first_output_time == _NO_OUTPUT:\n",
+        "    if False:\n",
+        ("tests/test_golden.py::test_trials_csv_digest[acceptance_dist]",),
+    ),
+    Mutant(
+        "husband_count and pre_output_acceptances columns swapped",
+        HARNESS,
+        "            columns = list(zip(*rows)) or [()] * len(self._columns)\n",
+        "            columns = list(zip(*rows)) or [()] * len(self._columns)\n"
+        "            columns[2], columns[4] = columns[4], columns[2]\n",
+        (
+            "tests/test_harness.py::TestTheoremExperiment::test_counts_match_oracle_at_small_n",
+            "tests/test_golden.py::test_report_digest[theorem_a]",
+        ),
+    ),
+    Mutant(
+        "seed column signed",
+        HARNESS,
+        'array(code) for code in "qQqqqq"',
+        'array(code) for code in "qqqqqq"',
+        ("tests/test_harness.py::test_trial_seeds_are_the_full_path",),
+    ),
+    Mutant(
+        "each range's extras put before the earlier ranges'",
+        HARNESS,
+        "            extras.extend(part_extras)\n",
+        "            extras[:0] = part_extras\n",
+        ("tests/test_golden.py::test_report_digest[lemma_audit]",),
+    ),
+    Mutant(
+        "trial index folded into the seed without its own mix",
+        HARNESS,
+        "mix64(prefix ^ mix64(trial))",
+        "mix64(prefix ^ trial)",
+        (
+            "tests/test_harness.py::test_trial_seeds_are_the_full_path",
+            "tests/test_harness.py::test_trial_seed_derivation_is_arithmetic",
+        ),
+    ),
+    Mutant(
+        "a repeated pair counted in full in the girl's total",
+        "src/stablematch/random_model.py",
+        "        per_girl[j] += c - 1\n",
+        "        per_girl[j] += c\n",
+        ("tests/test_random_model.py::test_entity_totals_equal_step_counts",),
     ),
 ]
 

@@ -112,6 +112,25 @@ def harmonic_direct(m: int) -> float:
     return sum(1.0 / k for k in range(1, m + 1))
 
 
+def coupon_cdf(n: int, t_max: int) -> list[float]:
+    """P(T <= t) for t = 0..t_max, where T is the number of uniform draws
+    from n girls until every girl has been drawn: the chain's first output
+    time. It runs the occupancy chain: with j girls drawn, the next draw
+    adds one with probability (n - j)/n. Inclusion-exclusion, the sum of
+    (-1)^k C(n, k) (1 - k/n)^t, cancels badly in floats at n = 64."""
+    occupied = [1.0] + [0.0] * n
+    cdf = [occupied[n]]
+    for _ in range(t_max):
+        nxt = [0.0] * (n + 1)
+        for j, p in enumerate(occupied):
+            nxt[j] += p * j / n
+            if j < n:
+                nxt[j + 1] += p * (n - j) / n
+        occupied = nxt
+        cdf.append(occupied[n])
+    return cdf
+
+
 def serial_dictatorship(
     common_boy_prefs: list[int], girl_prefs: list[list[int]]
 ) -> list[int]:

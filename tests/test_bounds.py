@@ -265,6 +265,14 @@ class TestMoments:
         direct = math.fsum(1.0 / (k * k) for k in range(1, m + 1))
         assert harmonic_second(m) == pytest.approx(direct, rel=1e-15)
 
+    @pytest.mark.parametrize("f, power", [(harmonic, 1), (harmonic_second, 2)])
+    def test_branches_meet_at_the_switch(self, f, power):
+        # From the last directly summed index to the first asymptotic one,
+        # the sum steps by its new term, within 2 ulps.
+        m = 10**6
+        step = f(m + 1) - f(m)
+        assert abs(step - 1.0 / (m + 1) ** power) <= 2 * math.ulp(f(m + 1))
+
     def test_mean_property(self):
         assert RisingProductPgf(10).mean == pytest.approx(harmonic_direct(10))
         assert BinomialPowerPgf(4, 100).mean == 25.0

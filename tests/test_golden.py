@@ -33,7 +33,12 @@ import json
 
 import pytest
 
-from stablematch.harness import ExperimentConfig, report_json, run_experiment
+from stablematch.harness import (
+    ExperimentConfig,
+    report_json,
+    run_experiment,
+    write_outputs,
+)
 from stablematch.instance import generate_uniform
 from stablematch.matching import stable_husbands
 from stablematch.random_model import run
@@ -284,15 +289,21 @@ REPORT_CASES = [
      {"kind": "coupon", "n": 16, "trials": 5, "master_seed": 9,
       "gate": {"max_mean_relative_error": 0.1, "min_window_fraction": 0.5}},
      1,
-     "74fa29b33d07fa4dd9aee1a82f50840e0551ffacc7f231ad4e3ad362e81e1057"),
+     # Re-pinned once when the block gained mean_error_in_stderr and
+     # harmonic came to sum by math.fsum, which moved the last bits of
+     # expected_mean and mean_relative_error; it hashed to 74fa29b3...1e1057.
+     "7334874036b53a100271190a09f46f71b88e440f772ee1e955e44250f2cc6db8"),
     ("acceptance_dist",
      {"kind": "acceptance_dist", "n": 1, "trials": 20, "master_seed": 11,
       "params": {"m": 50, "eps": 0.5},
       "gate": {"max_mean_error_stderr": 0.0, "tail_within_bound": True}},
      1,
      # Re-pinned once when the sampler moved from numpy PCG64 to SplitMix64
-     # blocks; the PCG64 report hashed to 9e81bf2f...d9e814cf4.
-     "e3b6d999dbf854e3ad25e734d305315344e662c44b88867b4b081a75cb18bd95"),
+     # blocks; the PCG64 report hashed to 9e81bf2f...d9e814cf4. Re-pinned
+     # again when harmonic and harmonic_second came to sum by math.fsum,
+     # which moved the last bits of expected_mean, expected_variance and
+     # the values derived from them; it hashed to e3b6d999...cb18bd95.
+     "bb456f244d1f845a08c36dbc675135837fd7ce78ba972f6922e376fa8f1c2a29"),
 ]
 
 # (n, seed, digest of the preference rows)
@@ -327,3 +338,47 @@ def test_report_digest(doc, failures, digest):
 def test_generate_uniform_digest(n, seed, digest):
     inst = generate_uniform(n, seed)
     assert _digest([inst.girl_prefs, inst.boy_prefs]) == digest
+
+
+# Campaigns whose trials CSV files are pinned byte for byte, apart from the
+# elapsed_us column, which is a wall-clock time: (id, config, digest over
+# every CSV the campaign writes, in name order). The lemma_audit campaign's
+# window of floor(64^1.4) = 337 proposals ends before the first output in
+# trial 1, whose first_output_time field is empty; an acceptance_dist row
+# has no first output at all; a size sweep writes one trials_n{N}.csv per
+# size.
+TRIALS_CSV_CASES = [
+    ("lemma_audit",
+     {"kind": "lemma_audit", "n": 64, "trials": 6, "master_seed": 41,
+      "params": {"delta": 0.4}},
+     "41b6c174f11528fc500a51305a0a399a5266409602af73579c8df1caf2c880c9"),
+    ("acceptance_dist",
+     {"kind": "acceptance_dist", "n": 1, "trials": 20, "master_seed": 11,
+      "params": {"m": 50}},
+     "a02c25e766139c29f9507579ab01a27bd2f4c25bbc1a36987c0a11b1e30a282c"),
+    ("theorem_sweep",
+     {"kind": "theorem", "n": [8, 16], "trials": 5, "master_seed": 9,
+      "method": "b", "workers": 2},
+     "58257973002daae3ff5389ef15aad131e21e0c9bc05bd7ef5927c2429960e278"),
+]
+
+
+def _csv_without_elapsed(path) -> bytes:
+    """The file's bytes with the last field of every line cut off."""
+    lines = path.read_bytes().split(b"\r\n")
+    return b"\r\n".join(line.rpartition(b",")[0] for line in lines)
+
+
+@pytest.mark.parametrize(
+    "doc,digest",
+    [case[1:] for case in TRIALS_CSV_CASES],
+    ids=[case[0] for case in TRIALS_CSV_CASES],
+)
+def test_trials_csv_digest(tmp_path, doc, digest):
+    config = ExperimentConfig.from_dict({**doc, "out_dir": str(tmp_path)})
+    report, rows = run_experiment(config)
+    paths = sorted(p for p in write_outputs(config, report, rows) if p.suffix == ".csv")
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.name.encode() + b"\n" + _csv_without_elapsed(path) + b"\n")
+    assert h.hexdigest() == digest

@@ -24,6 +24,7 @@ from stablematch.harness import (
     ConfigError,
     ExperimentConfig,
     TrialResult,
+    TrialRows,
     _run_range,
     _seed_prefix,
     report_json,
@@ -38,6 +39,8 @@ from stablematch.random_model import _acceptance_limit
 from stablematch.rng import Rng, derive_seed
 
 from collections import Counter
+
+from oracles import coupon_cdf
 
 
 class TestSummarize:
@@ -241,7 +244,8 @@ class TestTheoremExperiment:
             )
             assert report_json(report1) == report_json(report2), doc
             assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2], doc
-            assert all(type(r) is TrialResult for r in rows1 + rows2), doc
+            for rows in (rows1, rows2):
+                assert all(type(r) is TrialResult for r in rows), doc
 
     def test_size_sweep(self):
         config = ExperimentConfig(
@@ -306,6 +310,19 @@ class TestOtherKinds:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_campaign_rows_are_compact(self):
+        # A campaign holds its rows as typed columns, 48 bytes a row, never
+        # as one tuple of Python ints per row (about 190 bytes).
+        config = ExperimentConfig(kind="equivalence", n=3, trials=5000, master_seed=3)
+        tracemalloc.start()
+        try:
+            _, rows = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10_000
+        assert peak <= 120 * len(rows)
+
     def test_coupon_block(self):
         config = ExperimentConfig(kind="coupon", n=40, trials=60, master_seed=31)
         report, rows = run_experiment(config)
@@ -317,6 +334,14 @@ class TestOtherKinds:
         # at n=40 it sits barely above the mean, so some mass exceeds it.
         assert block["within_window_fraction"] >= 0.8
         assert all(r.husband_count == 1 for r in rows)
+        # The mean's error is read against the collector time's exact
+        # variance, here summed from its cdf: E[T] is the sum of P(T > t),
+        # and E[T^2] that of (2t + 1) P(T > t).
+        tails = [1 - c for c in coupon_cdf(40, 4000)]
+        mean = sum(tails)
+        variance = sum((2 * t + 1) * p for t, p in enumerate(tails)) - mean**2
+        z = (block["first_output"]["mean"] - mean) / math.sqrt(variance / 60)
+        assert block["mean_error_in_stderr"] == pytest.approx(z, rel=1e-6)
 
     def test_lemma_audit_block(self):
         config = ExperimentConfig(
@@ -433,8 +458,11 @@ def test_trial_seeds_are_the_full_path(kind, master, n, stream, start, size):
     config = ExperimentConfig(kind=kind, n=n, trials=1, master_seed=master)
     kind_id = KINDS.index(kind) + 1
     prefix = _seed_prefix(config, n, stream)
-    task = (lambda trial, seed: seed, (), prefix, start, start + size, 0)
-    assert _run_range(task) == [
+    task = (lambda trial, seed: (trial, seed, 0, None, 0, 0), (), prefix,
+            start, start + size, 0, False)
+    rows, extras = _run_range(task)
+    assert extras is None
+    assert [r.seed for r in rows] == [
         derive_seed(master, kind_id, n, stream, trial)
         for trial in range(start, start + size)
     ]
@@ -540,6 +568,22 @@ def test_trial_result_row_shape():
     out = io.StringIO()
     csv.writer(out).writerow(TrialResult(0, 7, 3, None, 1, 12))
     assert out.getvalue() == "0,7,3,,1,12\r\n"
+
+
+def test_trial_rows_give_back_their_rows():
+    # Each row comes back as the TrialResult it went in as, a missing first
+    # output and the largest u64 seed included, by index, slice, iteration
+    # and pickle (the way a worker sends a range).
+    given = [(0, 2**64 - 1, 3, None, 1, 12), (1, 5, 1, 7, 0, 9), (2, 0, 2, 1, 2, 0)]
+    rows = TrialRows(given)
+    rows.extend(TrialRows(given[:1]))
+    expected = [TrialResult._make(row) for row in given + given[:1]]
+    assert list(rows) == expected
+    assert [rows[i] for i in range(-4, 4)] == expected * 2
+    assert type(rows[1:3]) is TrialRows and list(rows[1:3]) == expected[1:3]
+    assert list(pickle.loads(pickle.dumps(rows))) == expected
+    assert rows.column("first_output_time") == [None, 7, 1, None]
+    assert rows.column("seed") == [2**64 - 1, 5, 0, 2**64 - 1]
 
 
 NUMPY_PROBE = """

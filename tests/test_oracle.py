@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from stablematch.instance import PreferenceInstance, fixture_4x4
 from stablematch.matching import find_blocking_pairs
 from stablematch.oracle import OracleScaleError, enumerate_stable
 
-from oracles import HUSBAND_LAW_N3, husband_set, worst_husband
+from oracles import HUSBAND_LAW_N3, coupon_cdf, husband_set, worst_husband
 
 A, B, C, D = range(4)
 W, X, Y, Z = range(4)
@@ -103,3 +104,15 @@ def test_exact_husband_law_n3():
     total = sum(counts.values())
     assert total == 6**5
     assert {k: Fraction(v, total) for k, v in counts.items()} == HUSBAND_LAW_N3
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_coupon_cdf_is_inclusion_exclusion(n):
+    # At small n the inclusion-exclusion sum is exact in fractions.
+    cdf = coupon_cdf(n, 60)
+    for t, value in enumerate(cdf):
+        exact = sum(
+            (-1) ** k * math.comb(n, k) * Fraction(n - k, n) ** t
+            for k in range(n + 1)
+        )
+        assert value == pytest.approx(float(exact), abs=1e-14)

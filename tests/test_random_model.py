@@ -15,11 +15,13 @@ from stablematch.random_model import (
     new_state,
     run,
 )
-from stablematch.rng import Rng
+from stablematch.rng import Rng, derive_seed
 
 from oracles import (
     clone_state,
+    coupon_cdf,
     full_pair_counts,
+    harmonic_direct,
     reference_audit,
     reference_run,
     reference_state,
@@ -528,6 +530,31 @@ def test_first_output_lands_inside_collector_window():
         assert stats.first_output_time is not None
         assert stats.first_output_time <= cap
         assert outputs[0][1] == stats.first_output_time
+
+
+@pytest.mark.parametrize("n, runs", [(8, 20_000), (64, 5_000)])
+def test_first_output_time_is_the_collector_time(n, runs):
+    # Every proposal goes to a uniform girl, and one who holds no offer
+    # accepts, so the first output comes with the proposal that reaches
+    # the last girl without one: the coupon-collector time, whose cdf,
+    # mean n*H_n and variance n^2*H2_n - n*H_n are exact. Both thresholds
+    # were fixed before sampling: the KS distance at alpha = 0.001, and
+    # |z| of the mean at 3.29.
+    times = [
+        run(n, 0, derive_seed(2026, n, i), stop="first_output", track=False)[1]
+        .first_output_time
+        for i in range(runs)
+    ]
+    cdf = coupon_cdf(n, max(times))
+    seen = Counter(times)
+    below, ks = 0, 0.0
+    for t, exact in enumerate(cdf):
+        below += seen[t]
+        ks = max(ks, abs(below / runs - exact))
+    assert ks < 1.95 / math.sqrt(runs)
+    h, h2 = harmonic_direct(n), sum(1.0 / (k * k) for k in range(1, n + 1))
+    z = (sum(times) / runs - n * h) / math.sqrt((n * n * h2 - n * h) / runs)
+    assert abs(z) <= 3.29
 
 
 def test_outputs_distinct_and_acceptance_identity():
