@@ -86,8 +86,7 @@ class HusbandEnumeration:
     strictly improving); matchings[i] is the complete stable matching in
     force when husbands[i] was emitted. pre_output_acceptances counts her
     acceptances that were superseded before the first output; the standing
-    offer at the first output becomes that output, so the identity
-    acceptances_by_girl == len(husbands) + pre_output_acceptances holds.
+    offer at the first output becomes that output.
     """
 
     girl: int
@@ -96,8 +95,12 @@ class HusbandEnumeration:
     trace: list[TraceEvent] | None
     proposal_count: int
     first_output_time: int | None
-    acceptances_by_girl: int
     pre_output_acceptances: int
+
+    @property
+    def acceptances_by_girl(self) -> int:
+        """Each husband was an offer she accepted, as was each superseded one."""
+        return len(self.husbands) + self.pre_output_acceptances
 
 
 def find_blocking_pairs(
@@ -262,6 +265,5 @@ def stable_husbands(
         trace=trace,
         proposal_count=t,
         first_output_time=first_output_time,
-        acceptances_by_girl=acceptances_by_girl,
         pre_output_acceptances=acceptances_by_girl - len(husbands),
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 
 from .rng import Rng
@@ -38,12 +37,13 @@ class RunStats:
     nonredundant_per_girl counts fresh proposals, each girl's offer count,
     the k of her next offer's 1/k acceptance. With tracking, run_lengths
     lists every run as (boy, proposals, fresh ones), the one in progress at
-    the stop included, and pair_counts[b] holds only the girls boy b
-    proposed to more than once, each with his full count (at least 2);
+    the stop included, and pair_counts maps only the (boy, girl) pairs
+    proposed to more than once, each to its full count (at least 2);
     `entity_totals` derives the per-entity totals from them.
     pre_output_acceptances counts the designated girl's acceptances that
-    were superseded before the first output, so acceptances_by_girl ==
-    len(outputs) + pre_output_acceptances exactly.
+    were superseded before the first output (all of them, with no output).
+    redundant_proposals, first_output_time and acceptances_by_girl are
+    derived from these.
     """
 
     n: int
@@ -51,13 +51,23 @@ class RunStats:
     t: int = 0
     nonredundant_per_girl: list[int] = field(default_factory=list)
     run_lengths: list[tuple[int, int, int]] | None = None
-    pair_counts: list[dict[int, int]] | None = None
-    redundant_proposals: int = 0
+    pair_counts: dict[tuple[int, int], int] | None = None
     outputs: list[tuple[int, int]] = field(default_factory=list)
-    first_output_time: int | None = None
-    acceptances_by_girl: int = 0
     pre_output_acceptances: int = 0
     stopped: str | None = None
+
+    @property
+    def redundant_proposals(self) -> int:
+        return self.t - sum(self.nonredundant_per_girl)
+
+    @property
+    def first_output_time(self) -> int | None:
+        return self.outputs[0][1] if self.outputs else None
+
+    @property
+    def acceptances_by_girl(self) -> int:
+        """Each output was an offer she accepted, as was each superseded one."""
+        return len(self.outputs) + self.pre_output_acceptances
 
 
 def new_state(n: int, girl: int, track: bool = True) -> RunStats:
@@ -73,7 +83,7 @@ def new_state(n: int, girl: int, track: bool = True) -> RunStats:
         girl=girl,
         nonredundant_per_girl=[0] * n,
         run_lengths=[] if track else None,
-        pair_counts=[dict() for _ in range(n)] if track else None,
+        pair_counts={} if track else None,
     )
 
 
@@ -151,7 +161,6 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
     p = 0
     tried = proposed[p]
     count = 0
-    pc = None if pair_counts is None else pair_counts[p]
     introduced = 1
     post = False
     run_start = fresh_start = 0
@@ -210,12 +219,9 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
                 p = nxt
                 tried = proposed[p]
                 count = fresh_start = ntried[p]
-                if pair_counts is not None:
-                    pc = pair_counts[p]
                 if emitted is not None:
                     outputs.append((emitted, t))
-                    if stats.first_output_time is None:
-                        stats.first_output_time = t
+                    if not post:
                         stats.pre_output_acceptances = accepts_by_g - 1
                         post = True
                     break
@@ -227,9 +233,9 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
                     # A redundant proposal is a proposal too, always
                     # rejected, and it may reach the cap.
                     t += 1
-                    if pc is not None:
+                    if pair_counts is not None:
                         # The pair's first proposal was fresh.
-                        pc[h] = pc.get(h, 1) + 1
+                        pair_counts[p, h] = pair_counts.get((p, h), 1) + 1
                     if t >= cap:
                         break
                     continue
@@ -246,9 +252,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
     if run_lengths is not None:
         run_lengths.append((p, t - run_start, count - fresh_start))
     stats.t = t
-    stats.redundant_proposals = t - sum(fresh_per_girl)
-    stats.acceptances_by_girl = accepts_by_g
-    if stats.first_output_time is None:
+    if not post:
         stats.pre_output_acceptances = accepts_by_g
     return fired
 
@@ -294,7 +298,7 @@ def entity_totals(stats: RunStats) -> tuple[list[int], list[int], list[int]]:
     if stats.pair_counts is None or stats.run_lengths is None:
         raise ValueError("entity totals require a run with tracking enabled")
     per_girl = list(stats.nonredundant_per_girl)
-    for j, c in chain.from_iterable(map(dict.items, stats.pair_counts)):
+    for (_, j), c in stats.pair_counts.items():
         per_girl[j] += c - 1
     per_boy, runs = [0] * stats.n, [0] * stats.n
     for b, total, _ in stats.run_lengths:
@@ -394,10 +398,9 @@ def audit_window_stats(stats: RunStats, delta: float) -> AuditReport:
     pairs = stats.pair_counts
     # One row per check: its name and bounds, the per-entity values whose
     # extreme it reports, that extreme for an empty list, and its
-    # violations in entity order. The pair dicts hold repeated pairs only;
+    # violations in entity order. The pair map holds repeated pairs only;
     # with none, every pair tried was proposed to once, and a capped run
     # has tried at least one.
-    pair_repeats = chain.from_iterable(map(dict.values, pairs))
     table = (
         ("girl_proposal_window", girl_lo, girl_hi, counts, 0, lambda: [
             {"girl": j, "count": c}
@@ -416,10 +419,9 @@ def audit_window_stats(stats: RunStats, delta: float) -> AuditReport:
         ("boy_total_proposals", None, boy_total_hi, per_boy, 0, lambda: [
             {"boy": b, "proposals": c} for b, c in enumerate(per_boy) if c > boy_total_hi
         ]),
-        ("pair_repeat_proposals", None, pair_hi, pair_repeats, 1, lambda: [
+        ("pair_repeat_proposals", None, pair_hi, pairs.values(), 1, lambda: [
             {"boy": b, "girl": j, "count": c}
-            for b, pc in enumerate(pairs)
-            for j, c in sorted(pc.items())
+            for (b, j), c in sorted(pairs.items())
             if c > pair_hi
         ]),
         ("girl_fresh_floor", fresh_floor, None, fresh, 0, lambda: [

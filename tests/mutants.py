@@ -15,11 +15,14 @@ test that fails on its own cannot pass for a kill. The exit status is 0
 when every mutant is killed, 1 when one survives or no longer applies,
 and 2 when the unmutated run fails. Pytest does not collect this file.
 
-Two boundary mutants are left out because no test can kill them:
+Three boundary mutants are left out because no test can kill them:
 `find_blocking_pairs`' `boy_rank[b][g] < b_bar` read as `<=` differs only
 when g is b's wife, and then the girl side has already skipped the pair;
 `stable_husbands`' `rank < best_rank[h]` read as `<=` differs only when a
-boy offers to the same girl twice, which his advancing list rules out.
+boy offers to the same girl twice, which his advancing list rules out; the
+audit's `c > pair_hi` read as `c >= pair_hi` differs only when a repeated
+pair's count, an integer of at least 2, equals the bound, which is 1 for
+n <= 2 and ln n, never an integer, above.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class Mutant(NamedTuple):
 INSTANCE = "src/stablematch/instance.py"
 MATCHING = "src/stablematch/matching.py"
 HARNESS = "src/stablematch/harness.py"
+RANDOM_MODEL = "src/stablematch/random_model.py"
 
 MUTANTS = [
     Mutant(
@@ -186,10 +190,66 @@ MUTANTS = [
     ),
     Mutant(
         "a repeated pair counted in full in the girl's total",
-        "src/stablematch/random_model.py",
+        RANDOM_MODEL,
         "        per_girl[j] += c - 1\n",
         "        per_girl[j] += c\n",
         ("tests/test_random_model.py::test_entity_totals_equal_step_counts",),
+    ),
+    Mutant(
+        "the first output's own acceptance counted as superseded",
+        RANDOM_MODEL,
+        "stats.pre_output_acceptances = accepts_by_g - 1\n",
+        "stats.pre_output_acceptances = accepts_by_g\n",
+        ("tests/test_random_model.py::test_outputs_distinct_and_acceptance_identity",),
+    ),
+    Mutant(
+        "acceptances after the first output counted as superseded at the stop",
+        RANDOM_MODEL,
+        "    if not post:\n        stats.pre_output_acceptances = accepts_by_g\n",
+        "    if True:\n        stats.pre_output_acceptances = accepts_by_g\n",
+        ("tests/test_random_model.py::test_outputs_distinct_and_acceptance_identity",),
+    ),
+    Mutant(
+        "a husband after the first output hands the turn to her previous offer",
+        RANDOM_MODEL,
+        "                    emitted = p\n                    nxt = p\n",
+        "                    emitted = p\n                    nxt = previous\n",
+        ("tests/test_golden.py::test_run_digest",),
+    ),
+    Mutant(
+        "first output time read from the last output",
+        RANDOM_MODEL,
+        "        return self.outputs[0][1] if self.outputs else None\n",
+        "        return self.outputs[-1][1] if self.outputs else None\n",
+        ("tests/test_random_model.py::test_outputs_distinct_and_acceptance_identity",),
+    ),
+    Mutant(
+        "a repeated pair's count started from 0, not from its fresh proposal",
+        RANDOM_MODEL,
+        "pair_counts.get((p, h), 1) + 1\n",
+        "pair_counts.get((p, h), 0) + 1\n",
+        ("tests/test_random_model.py::TestRunStepAgreement",),
+    ),
+    Mutant(
+        "an ended run's fresh length counted from the proposer's first try",
+        RANDOM_MODEL,
+        "                    run_lengths.append((p, t - run_start, count - fresh_start))\n",
+        "                    run_lengths.append((p, t - run_start, count))\n",
+        ("tests/test_random_model.py::TestRunStepAgreement",),
+    ),
+    Mutant(
+        "a girl on the window's lower bound flagged",
+        RANDOM_MODEL,
+        "            if not girl_lo <= c <= girl_hi\n",
+        "            if not girl_lo < c <= girl_hi\n",
+        ("tests/test_random_model.py::TestAuditEqualsReference::test_capped_runs",),
+    ),
+    Mutant(
+        "pair violations listed in the order the pairs first repeated",
+        RANDOM_MODEL,
+        "            for (b, j), c in sorted(pairs.items())\n",
+        "            for (b, j), c in pairs.items()\n",
+        ("tests/test_random_model.py::TestAuditEqualsReference::test_capped_runs",),
     ),
 ]
 

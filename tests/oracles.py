@@ -311,9 +311,12 @@ class ReferenceState:
     are counted here one step at a time: each girl's proposals, redundant
     ones included, each boy's proposals, and each boy's runs begun, the
     one in progress included (the chain's record leaves these to
-    `entity_totals`). The resume fields are the proposer, the count of
-    boys introduced, whether a husband has been emitted, and the proposals
-    and fresh ones among them of the proposer's run in progress.
+    `entity_totals`). So are the redundant proposals, the designated
+    girl's acceptances and the time of the first output (None before it,
+    so it also says whether a husband has been emitted), which the chain's
+    record derives. The other resume fields are the proposer, the count of
+    boys introduced, and the proposals and fresh ones among them of the
+    proposer's run in progress.
     """
 
     proposed: list[bytearray]
@@ -323,9 +326,11 @@ class ReferenceState:
     proposals_per_girl: list[int]
     proposals_per_boy: list[int]
     runs_per_boy: list[int]
+    redundant_proposals: int = 0
+    acceptances_by_girl: int = 0
+    first_output_time: int | None = None
     proposer: int = 0
     introduced: int = 1
-    post_first_output: bool = False
     run_length: int = 0
     run_fresh: int = 0
 
@@ -363,7 +368,7 @@ def reference_step(
     amnesia off, the memoryful variant, the proposer redraws until he hits
     a girl he has not tried, so every proposal is fresh; it changes no
     output distribution, and it is an error to step an exhausted proposer
-    in that mode. It counts every proposal of every pair in
+    in that mode. It counts every proposal of every (boy, girl) pair in
     `stats.pair_counts`, where the chain keeps only the pairs proposed to
     more than once.
     """
@@ -386,10 +391,9 @@ def reference_step(
     state.proposals_per_boy[p] += 1
     state.run_length += 1
     if stats.pair_counts is not None:
-        pc = stats.pair_counts[p]
-        pc[h] = pc.get(h, 0) + 1
+        stats.pair_counts[p, h] = stats.pair_counts.get((p, h), 0) + 1
     if tried[h]:
-        stats.redundant_proposals += 1
+        state.redundant_proposals += 1
         return StepEvent(t, p, h, redundant=True, accepted=False)
     tried[h] = 1
     state.ntried[p] += 1
@@ -405,9 +409,9 @@ def reference_step(
     state.run_length = 0
     state.run_fresh = 0
     if h == girl:
-        stats.acceptances_by_girl += 1
-        if stats.first_output_time is None:
-            stats.pre_output_acceptances = stats.acceptances_by_girl
+        state.acceptances_by_girl += 1
+        if state.first_output_time is None:
+            stats.pre_output_acceptances = state.acceptances_by_girl
     previous = state.best_offer[h]
     state.best_offer[h] = p
     output: int | None = None
@@ -419,17 +423,16 @@ def reference_step(
             output = state.best_offer[girl]
             assert output is not None
             nxt = output
-    elif h == girl and state.post_first_output:
+    elif h == girl and state.first_output_time is not None:
         output = p
         nxt = p
     else:
         nxt = previous
     if output is not None:
         stats.outputs.append((output, t))
-        if stats.first_output_time is None:
-            stats.first_output_time = t
-            stats.pre_output_acceptances = stats.acceptances_by_girl - 1
-            state.post_first_output = True
+        if state.first_output_time is None:
+            state.first_output_time = t
+            stats.pre_output_acceptances = state.acceptances_by_girl - 1
     state.proposer = nxt
     state.runs_per_boy[nxt] += 1
     return StepEvent(t, p, h, redundant=False, accepted=True, output=output)
@@ -441,13 +444,8 @@ def copy_stats(stats: RunStats) -> RunStats:
     out.t = stats.t
     out.nonredundant_per_girl = list(stats.nonredundant_per_girl)
     out.run_lengths = None if stats.run_lengths is None else list(stats.run_lengths)
-    out.pair_counts = (
-        None if stats.pair_counts is None else [dict(d) for d in stats.pair_counts]
-    )
-    out.redundant_proposals = stats.redundant_proposals
+    out.pair_counts = None if stats.pair_counts is None else dict(stats.pair_counts)
     out.outputs = list(stats.outputs)
-    out.first_output_time = stats.first_output_time
-    out.acceptances_by_girl = stats.acceptances_by_girl
     out.pre_output_acceptances = stats.pre_output_acceptances
     out.stopped = stats.stopped
     return out
@@ -461,33 +459,38 @@ def clone_state(state: ReferenceState) -> ReferenceState:
         introduced=state.introduced,
         proposer=state.proposer,
         best_offer=list(state.best_offer),
-        post_first_output=state.post_first_output,
         run_length=state.run_length,
         run_fresh=state.run_fresh,
         stats=copy_stats(state.stats),
         proposals_per_girl=list(state.proposals_per_girl),
         proposals_per_boy=list(state.proposals_per_boy),
         runs_per_boy=list(state.runs_per_boy),
+        redundant_proposals=state.redundant_proposals,
+        acceptances_by_girl=state.acceptances_by_girl,
+        first_output_time=state.first_output_time,
     )
 
 
-def repeated_pairs(pair_counts: list[dict[int, int]] | None):
+def repeated_pairs(pair_counts: dict[tuple[int, int], int] | None):
     """Full pair counts restricted to the pairs proposed to more than once,
     the form the chain keeps in `RunStats.pair_counts`."""
     if pair_counts is None:
         return None
-    return [{j: c for j, c in pc.items() if c >= 2} for pc in pair_counts]
+    return {pair: c for pair, c in pair_counts.items() if c >= 2}
 
 
-def full_pair_counts(state: ReferenceState) -> list[dict[int, int]]:
-    """Every boy's count for every girl he tried, in girl order, from the
-    tried rows of `state` and its pair counts, where a tried pair with no
-    count was proposed to once."""
-    assert state.stats.pair_counts is not None
-    return [
-        {j: pc.get(j, 1) for j in range(state.stats.n) if row[j]}
-        for row, pc in zip(state.proposed, state.stats.pair_counts)
-    ]
+def full_pair_counts(state: ReferenceState) -> dict[tuple[int, int], int]:
+    """Every boy's count for every girl he tried, from the tried rows of
+    `state` and its pair counts, where a tried pair with no count was
+    proposed to once."""
+    pairs = state.stats.pair_counts
+    assert pairs is not None
+    return {
+        (b, j): pairs.get((b, j), 1)
+        for b, row in enumerate(state.proposed)
+        for j in range(state.stats.n)
+        if row[j]
+    }
 
 
 def reference_run(
@@ -567,8 +570,9 @@ def reference_audit(
 ) -> AuditReport:
     """The capped-window audit written out one entity at a time, the
     definition that `random_model.audit_window_stats` is held to: every
-    violation list is built element by element, each pair count goes
-    through a Python-level `max`, and each check's extreme is taken from
+    violation list is built element by element, each pair count, visited
+    boy by boy and girl by girl, goes through a Python-level `max`, and
+    each check's extreme is taken from
     the full lists. totals are each girl's proposals, each boy's proposals
     and each boy's run count, given directly (as `step_totals` counts
     them) rather than derived from the logs. Checks, bounds and errors are
@@ -652,8 +656,9 @@ def reference_audit(
 
     bad = []
     worst = 0
-    for b, pc in enumerate(stats.pair_counts):
-        for j, c in pc.items():
+    for b in range(n):
+        for j in range(n):
+            c = stats.pair_counts.get((b, j), 0)
             worst = max(worst, c)
             if c > pair_hi:
                 bad.append({"boy": b, "girl": j, "count": c})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -181,6 +182,31 @@ class TestSimulate:
         )
         assert code == 0
         assert doc["first_output_time"] == doc["proposals"]
+
+    # The SHA-256 of the whole stdout of one run of each stop rule, pinned
+    # before RunStats came to derive redundant_proposals, first_output_time
+    # and acceptances_by_girl and to keep its pair counts in one (boy, girl)
+    # map. The natural run has two husbands and two superseded acceptances,
+    # the capped run two and one, the first-output run one of each; the
+    # audited run has no output and three pair violations, two by one boy.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "8", "--seed", "10"],
+             "06cf22044ab2c1a4491188d8a660ee7d36748503b401ec71842b9720a6866ee2"),
+            (["--n", "16", "--seed", "2", "--cap", "200"],
+             "762f23b49f8deaa07f97f42b5f88dbae8fabdba83f254fa68e40d96be06ad9c5"),
+            (["--n", "25", "--seed", "0", "--first-output"],
+             "366585c917f53aa11764d06a8c2ba37328c3a79ebb8ccaa43f104120814b0ccc"),
+            (["--n", "16", "--seed", "22", "--audit", "0.3"],
+             "4ac0609839252808525d89c32ea7a8f8ebf6dd9a87c7002016d2a29cf06b6f86"),
+        ],
+        ids=["natural", "cap", "first-output", "audit"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert main(["simulate", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBounds:

@@ -239,7 +239,12 @@ def test_agreement_with_oracle(inst):
         )
         # Each boy proposes to each girl at most once.
         assert enum.proposal_count <= n * n
-        assert enum.acceptances_by_girl == len(enum.husbands) + enum.pre_output_acceptances
+        # Her acceptances, counted from the trace, are her husbands and the
+        # offers she gave up before the first output.
+        accepted = [
+            e for e in enum.trace if e.kind == "propose" and e.girl == g and e.accepted
+        ]
+        assert enum.acceptances_by_girl == len(accepted)
         _fact_star_audit(inst, g, enum, stable)
 
 

@@ -5,7 +5,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stablematch import random_model
 from stablematch.random_model import (
@@ -128,14 +128,14 @@ class TestTransitionProbabilities:
             event = reference_step(state, rng)
             assert event.redundant and not event.accepted
         assert state.stats.nonredundant_per_girl == offers_before
-        assert state.stats.redundant_proposals == 100
+        assert state.redundant_proposals == 100
 
 
 def assert_derived_counters(state):
     """A replay's girl and boy totals each sum to its proposals, and its
     fresh and redundant counts agree with the tried rows."""
     stats = state.stats
-    fresh = stats.t - stats.redundant_proposals
+    fresh = stats.t - state.redundant_proposals
     assert sum(state.proposals_per_girl) == sum(state.proposals_per_boy) == stats.t
     assert fresh == sum(stats.nonredundant_per_girl) == sum(state.ntried)
     assert state.ntried == [sum(row) for row in state.proposed]
@@ -144,15 +144,15 @@ def assert_derived_counters(state):
 
 def assert_run_matches_steps(outputs, fast, state):
     """The fast loop's result agrees field by field with a reference step
-    replay, and with tracking its per-entity totals with the replay's
-    step-by-step counts."""
+    replay, its derived counts and with tracking its per-entity totals with
+    the replay's step-by-step counts."""
     slow = state.stats
     assert fast.t == slow.t
     assert fast.nonredundant_per_girl == slow.nonredundant_per_girl
-    assert fast.redundant_proposals == slow.redundant_proposals
+    assert fast.redundant_proposals == state.redundant_proposals
     assert fast.outputs == slow.outputs == outputs
-    assert fast.first_output_time == slow.first_output_time
-    assert fast.acceptances_by_girl == slow.acceptances_by_girl
+    assert fast.first_output_time == state.first_output_time
+    assert fast.acceptances_by_girl == state.acceptances_by_girl
     assert fast.pre_output_acceptances == slow.pre_output_acceptances
     assert fast.pair_counts == repeated_pairs(slow.pair_counts)
     # The final run is always recorded: the run in progress at the stop,
@@ -529,7 +529,6 @@ def test_first_output_lands_inside_collector_window():
         outputs, stats = run(n, 0, seed, stop="cap", max_proposals=cap, track=False)
         assert stats.first_output_time is not None
         assert stats.first_output_time <= cap
-        assert outputs[0][1] == stats.first_output_time
 
 
 @pytest.mark.parametrize("n, runs", [(8, 20_000), (64, 5_000)])
@@ -557,20 +556,33 @@ def test_first_output_time_is_the_collector_time(n, runs):
     assert abs(z) <= 3.29
 
 
+def assert_identity_matches_replay(n, seed, stop, cap=None):
+    """The chain's derived acceptances, its outputs plus its pre-output
+    acceptances, equal the designated girl's acceptances that a reference
+    replay counts step by step; so do its derived first output time and
+    redundant proposals. Returns the run's outputs and record."""
+    outputs, stats = run(n, 0, seed, stop=stop, max_proposals=cap)
+    state = reference_state(n, 0)
+    reference_run(state, Rng(seed), stop, cap)
+    assert stats.acceptances_by_girl == state.acceptances_by_girl
+    assert stats.first_output_time == state.first_output_time
+    assert stats.redundant_proposals == state.redundant_proposals
+    return outputs, stats
+
+
 def test_outputs_distinct_and_acceptance_identity():
     for seed in range(200):
-        outputs, stats = run(5, 0, seed, stop="natural")
+        outputs, stats = assert_identity_matches_replay(5, seed, "natural")
         boys = [b for b, _ in outputs]
         assert len(set(boys)) == len(boys)
-        assert stats.acceptances_by_girl == len(outputs) + stats.pre_output_acceptances
         assert sum(entity_totals(stats)[0]) == stats.t
 
 
 def test_identity_holds_without_any_output():
-    # A cap short enough that the first output may not have happened.
+    # 25 proposals cannot reach all 40 girls, so no output comes.
     for seed in range(50):
-        outputs, stats = run(40, 0, seed, stop="cap", max_proposals=25)
-        assert stats.acceptances_by_girl == len(outputs) + stats.pre_output_acceptances
+        outputs, _ = assert_identity_matches_replay(40, seed, "cap", 25)
+        assert outputs == []
 
 
 def test_memoryful_variant_same_output_distribution():
@@ -623,7 +635,7 @@ class TestAudit:
         stats.t = 6  # floor(4 ** 1.3)
         stats.nonredundant_per_girl = [1, 1, 1, 1]
         stats.run_lengths = [(0, 1, 1), (1, 1, 1), (2, 2, 1), (3, 1, 1), (2, 1, 0)]
-        stats.pair_counts = [{}, {}, {1: 3}, {}]
+        stats.pair_counts = {(2, 1): 3}
         assert entity_totals(stats) == ([1, 3, 1, 1], [1, 1, 3, 1], [1, 1, 2, 1])
         report = audit_window_stats(stats, delta)
         assert not report.passed
@@ -653,7 +665,7 @@ def _audit_bounds(n: int, delta: float) -> tuple[int, dict]:
         t=cap,
         nonredundant_per_girl=[0] * n,
         run_lengths=[],
-        pair_counts=[{} for _ in range(n)],
+        pair_counts={},
     )
     totals = ([0] * n, [0] * n, [0] * n)
     return cap, {c.name: c for c in reference_audit(zero, n, delta, totals).checks}
@@ -679,10 +691,10 @@ def synthetic_audit_stats(draw, violate_all: bool = False):
     run but his last drawn about the run bound or as an even share of what
     is left. Each check is forced to have a violation with some
     probability, run_lengths may be empty, and no pair may repeat; with
-    violate_all, every check has a violation. The full counts list, in
-    girl order, every tried pair with its count, at least one pair in all
-    (as a run with t >= 1 has); stats.pair_counts is their restriction to
-    the repeated pairs."""
+    violate_all, every check has a violation. The full counts map every
+    tried (boy, girl) pair to its count, at least one pair in all (as a run
+    with t >= 1 has); stats.pair_counts is their restriction to the
+    repeated pairs."""
     n = draw(st.integers(1, 12))
     delta = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
     cap, checks = _audit_bounds(n, delta)
@@ -737,10 +749,10 @@ def synthetic_audit_stats(draw, violate_all: bool = False):
                 pc = pairs[draw(st.integers(0, n - 1))]
                 pc[j] = pc.get(j, 1) + repeats
                 extra -= repeats
-        pairs = [dict(sorted(pc.items())) for pc in pairs]
     else:
         # No pair repeats: every proposal is fresh.
         per_girl = list(fresh)
+    pairs = {(b, j): c for b, pc in enumerate(pairs) for j, c in pc.items()}
 
     starts_hi = checks["boy_run_starts"].upper
     runs = values([starts_hi], n)
@@ -813,6 +825,10 @@ class TestAuditEqualsReference:
         delta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
         seed=st.integers(0, 2**64 - 1),
     )
+    # A girl with one proposal on the window's lower bound of 1 while
+    # another girl is outside it, and boy 2's pairs with girls 4 and 3
+    # past their bound, repeated in that order.
+    @example(n=6, delta=0.3, seed=10)
     def test_capped_runs(self, n, delta, seed):
         cap = math.floor(n ** (1 + delta))
         _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
@@ -834,9 +850,8 @@ class TestAuditEqualsReference:
         report = assert_audit_equals_reference(*case)
         assert not any(c.passed for c in report.checks)
 
-    @pytest.mark.parametrize("pair_counts", [[], [{}, {}, {}]])
-    def test_empty_runs_and_pairs(self, pair_counts):
-        # No run recorded and no pair repeated: the pair dicts are empty,
+    def test_empty_runs_and_pairs(self):
+        # No run recorded and no pair repeated: the pair map is empty,
         # every pair tried was proposed to once, and no boy has a run.
         n, delta = 3, 0.3
         stats = RunStats(
@@ -845,9 +860,9 @@ class TestAuditEqualsReference:
             t=math.floor(n ** (1 + delta)),
             nonredundant_per_girl=[1, 1, 1],
             run_lengths=[],
-            pair_counts=pair_counts,
+            pair_counts={},
         )
-        full = [{0: 1, 1: 1}, {2: 1}, {}]
+        full = {(0, 0): 1, (0, 1): 1, (1, 2): 1}
         totals = ([1, 1, 1], [0] * n, [0] * n)
         report = assert_audit_equals_reference(stats, n, delta, full, totals)
         worst = {c.name: c.worst for c in report.checks}
