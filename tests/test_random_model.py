@@ -850,19 +850,26 @@ class TestAuditEqualsReference:
         report = assert_audit_equals_reference(*case)
         assert not any(c.passed for c in report.checks)
 
-    def test_empty_runs_and_pairs(self):
-        # No run recorded and no pair repeated: the pair map is empty,
-        # every pair tried was proposed to once, and no boy has a run.
+    # The full counts of the pairs tried, each proposed to once: spread
+    # over two boys, or one pair for each boy.
+    @pytest.mark.parametrize(
+        "pair_counts",
+        [{(0, 0): 1, (0, 1): 1, (1, 2): 1}, {(0, 2): 1, (1, 0): 1, (2, 1): 1}],
+    )
+    def test_empty_runs_and_pairs(self, pair_counts):
+        # No run recorded and no pair repeated: the record's pair map is
+        # empty, every pair tried was proposed to once, and no boy has a run.
         n, delta = 3, 0.3
+        full = pair_counts
         stats = RunStats(
             n=n,
             girl=0,
             t=math.floor(n ** (1 + delta)),
             nonredundant_per_girl=[1, 1, 1],
             run_lengths=[],
-            pair_counts={},
+            pair_counts=repeated_pairs(full),
         )
-        full = {(0, 0): 1, (0, 1): 1, (1, 2): 1}
+        assert stats.pair_counts == {}
         totals = ([1, 1, 1], [0] * n, [0] * n)
         report = assert_audit_equals_reference(stats, n, delta, full, totals)
         worst = {c.name: c.worst for c in report.checks}
