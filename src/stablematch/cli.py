@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import instance as instance_mod
-from .harness import ConfigError, ExperimentConfig, run_experiment, write_outputs
+from .harness import METHODS, ConfigError, ExperimentConfig
+from .harness import run_experiment, write_outputs
 from .matching import Matching, find_blocking_pairs, stable_husbands
 from .oracle import OracleScaleError, enumerate_stable
 from .random_model import audit_window, audit_window_stats, run as run_process
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--girl", type=int, default=0)
-    p.add_argument("--method", choices=("a", "b"), default="a")
+    p.add_argument("--method", choices=tuple(METHODS), default="a")
     p.add_argument("--param", action="append", metavar="KEY=JSON")
     p.add_argument("--workers", type=int)
     p.add_argument("--out")

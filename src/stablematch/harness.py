@@ -19,8 +19,10 @@ Five experiment kinds are supported:
 Per-trial seeds are derived arithmetically from (master seed, kind, n,
 stream, trial), so a report depends only on the logical configuration,
 never on worker count or scheduling; trial rows are folded in index order.
-Report dictionaries contain no wall-clock values (per-trial timings go only
-to the CSV rows).
+Every kind but acceptance_dist cuts its trials into ranges that a process
+pool of `workers` may run; acceptance_dist never reads `workers` and runs
+in this process, chunk by chunk. Report dictionaries contain no wall-clock
+values (per-trial timings go only to the CSV rows).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import repeat
 from operator import getitem, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -138,8 +139,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("master_seed must be an integer")
     if not _is_int(config.girl):
         raise ConfigError(f"girl must be an integer, got {config.girl!r}")
-    if config.method not in ("a", "b"):
-        raise ConfigError(f"method must be 'a' or 'b', got {config.method!r}")
+    if config.method not in METHODS:
+        names = " or ".join(map(repr, METHODS))
+        raise ConfigError(f"method must be {names}, got {config.method!r}")
     if not _is_int(config.workers) or config.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {config.workers!r}")
     if config.out_dir is not None and not isinstance(config.out_dir, (str, Path)):
@@ -231,23 +233,30 @@ _NO_OUTPUT = -1
 class TrialRows(Sequence):
     """Trial rows as one typed array per TrialResult field, in field order:
     'Q' for the u64 seed, 'q' for the rest. A campaign holds no Python
-    object per row, and a worker sends a range's rows as six arrays. An
-    index gives a TrialResult, a slice gives TrialRows."""
+    object per row, and a worker sends a range's rows as six arrays. A row
+    is written by `add`; an index gives a TrialResult, a slice gives
+    TrialRows."""
 
     __slots__ = ("_columns",)
 
-    def __init__(self, rows: Iterable[tuple] = ()) -> None:
+    def __init__(self) -> None:
         self._columns = tuple(array(code) for code in "qQqqqq")
-        self.extend(rows)
 
-    def extend(self, rows: Iterable[tuple]) -> None:
-        """Append rows: tuples in TrialResult's field order, or TrialRows."""
-        if isinstance(rows, TrialRows):
-            columns = rows._columns
-        else:
-            columns = list(zip(*rows)) or [()] * len(self._columns)
-            columns[3] = [_NO_OUTPUT if t is None else t for t in columns[3]]
-        for mine, theirs in zip(self._columns, columns):
+    def add(self, trial: int, seed: int, husband_count: int,
+            first_output_time: int | None, pre_output_acceptances: int,
+            elapsed_us: int) -> None:
+        """Append one row, its fields in TrialResult's order."""
+        t, s, h, f, p, e = self._columns
+        t.append(trial)
+        s.append(seed)
+        h.append(husband_count)
+        f.append(_NO_OUTPUT if first_output_time is None else first_output_time)
+        p.append(pre_output_acceptances)
+        e.append(elapsed_us)
+
+    def extend(self, rows: TrialRows) -> None:
+        """Append another TrialRows' rows."""
+        for mine, theirs in zip(self._columns, rows._columns):
             mine.extend(theirs)
 
     def column(self, name: str) -> list:
@@ -327,42 +336,37 @@ def tv_distance(counts_a: Counter, counts_b: Counter, t_a: int, t_b: int) -> flo
     return 0.5 * sum(abs(counts_a[k] / t_a - counts_b[k] / t_b) for k in keys)
 
 
-def _row(trial: int, seed: int, start: int, outputs: list, stats) -> tuple:
-    """A trial's row from its husbands and its RunStats or enumeration, as
-    the plain tuple that TrialRows packs into its columns."""
-    elapsed = (time.perf_counter_ns() - start) // 1000
-    return (
-        trial,
-        seed,
-        len(outputs),
-        stats.first_output_time,
-        stats.pre_output_acceptances,
-        elapsed,
-    )
+# A trial takes (seed, *fixed) and returns (husband count, the sampler's
+# record, extra): the record's first_output_time and pre_output_acceptances
+# fill the row, and extra is the audit's report dict, or None. Trials call
+# the samplers through this module's globals, where a tracer can swap them.
 
 
-def _husband_count_trial(trial: int, seed: int, n: int, girl: int, method: str):
-    """One theorem/equivalence-style trial."""
-    start = time.perf_counter_ns()
-    if method == "a":
-        enum = stable_husbands(generate_uniform(n, seed), girl)
-        return _row(trial, seed, start, enum.husbands, enum)
+def _enumeration_trial(seed: int, n: int, girl: int):
+    """Method a: the husbands of `stable_husbands` on a fresh instance."""
+    enum = stable_husbands(generate_uniform(n, seed), girl)
+    return len(enum.husbands), enum, None
+
+
+def _process_trial(seed: int, n: int, girl: int):
+    """Method b: the randomized proposal process, run to its natural stop."""
     outputs, stats = run_process(n, girl, seed, stop="natural", track=False)
-    return _row(trial, seed, start, outputs, stats)
+    return len(outputs), stats, None
 
 
-def _coupon_trial(trial: int, seed: int, n: int, girl: int):
-    start = time.perf_counter_ns()
+# The husband-count samplers by method name.
+METHODS: dict[str, Callable] = {"a": _enumeration_trial, "b": _process_trial}
+
+
+def _coupon_trial(seed: int, n: int, girl: int):
     outputs, stats = run_process(n, girl, seed, stop="first_output", track=False)
-    return _row(trial, seed, start, outputs, stats)
+    return len(outputs), stats, None
 
 
-def _audit_trial(trial: int, seed: int, n: int, girl: int, delta: float, cap: int):
-    """A capped trial's row and its audit report, as a pair."""
-    start = time.perf_counter_ns()
+def _audit_trial(seed: int, n: int, girl: int, delta: float, cap: int):
+    """A capped run; its extra is the run's audit report."""
     outputs, stats = run_process(n, girl, seed, stop="cap", max_proposals=cap)
-    report = audit_window_stats(stats, delta)
-    return _row(trial, seed, start, outputs, stats), report.to_dict()
+    return len(outputs), stats, audit_window_stats(stats, delta).to_dict()
 
 
 def _seed_prefix(config: ExperimentConfig, n: int, stream: int = 0) -> int:
@@ -377,18 +381,26 @@ def _trial_seeds(prefix: int, start: int, stop: int):
     return (mix64(prefix ^ mix64(trial)) for trial in range(start, stop))
 
 
-def _run_range(task: tuple) -> tuple[TrialRows, list | None]:
+def _run_range(task: tuple) -> tuple[TrialRows, list]:
     """One pool task: trials start..stop-1 of one stream, with their seeds
     folded here from the stream's prefix, and row indices shifted by the
-    stream's offset. The rows come back as columns; when the trial gives
-    (row, extra) pairs (`paired`), its extras come back beside them as a
-    list, in row order, and otherwise None does."""
-    trial, fixed, prefix, start, stop, offset, paired = task
-    seeds = _trial_seeds(prefix, start, stop)
-    results = [trial(i + offset, seed, *fixed) for i, seed in enumerate(seeds, start)]
-    if not paired:
-        return TrialRows(results), None
-    return TrialRows(row for row, _ in results), [extra for _, extra in results]
+    stream's offset. Each trial is timed here and its row written as it
+    ends. The rows come back as columns, and the extras that are not None
+    beside them as a list, in row order."""
+    trial, fixed, prefix, start, stop, offset = task
+    rows = TrialRows()
+    add = rows.add
+    extras = []
+    clock = time.perf_counter_ns
+    for i, seed in enumerate(_trial_seeds(prefix, start, stop), start + offset):
+        begin = clock()
+        count, record, extra = trial(seed, *fixed)
+        elapsed = (clock() - begin) // 1000
+        add(i, seed, count, record.first_output_time, record.pre_output_acceptances,
+            elapsed)
+        if extra is not None:
+            extras.append(extra)
+    return rows, extras
 
 
 def _usable_cpus() -> int:
@@ -398,53 +410,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_trials(
-    trial: Callable,
-    streams: list,
-    trials: int,
-    workers: int,
-    extras: list | None = None,
-) -> TrialRows:
-    """Run `trials` trials of each stream; rows follow the streams' order,
-    then trial order, whatever the worker count.
+def _map_trials(streams: list, trials: int, workers: int) -> tuple[TrialRows, list]:
+    """Run `trials` trials of each stream; returns (rows, extras), rows in
+    the streams' order, then trial order, whatever the worker count, and
+    the trials' extras that are not None in the same order.
 
-    A stream is (the trial's fixed arguments, its seed prefix, its row
-    offset). Each is cut into at most 4 ranges per pool process, as even as
-    can be, and a range is one task: it holds no per-trial argument, so
-    the pool forks before any per-trial object exists. The pool has at
-    most `workers` processes, and no more than there are tasks or usable
-    CPUs; with one, the ranges run in this process. When `extras` is a
-    list, the trial gives (row, extra) and the extras are appended to it.
+    A stream is (its trial function, the trial's fixed arguments, its seed
+    prefix, its row offset). Each is cut into at most 4 ranges per pool
+    process, as even as can be, and a range is one task: it holds no
+    per-trial argument, so the pool forks before any per-trial object
+    exists. The pool has at most `workers` processes, and no more than
+    there are tasks or usable CPUs; with one, the ranges run in this
+    process.
     """
     pool = min(workers, _usable_cpus())
     parts = min(4 * pool, trials)
-    paired = extras is not None
     tasks = [
-        (trial, fixed, prefix, k * trials // parts, (k + 1) * trials // parts, offset,
-         paired)
-        for fixed, prefix, offset in streams
+        (trial, fixed, prefix, k * trials // parts, (k + 1) * trials // parts, offset)
+        for trial, fixed, prefix, offset in streams
         for k in range(parts)
     ]
     pool = min(pool, len(tasks))
     if pool <= 1:
-        return _collect(map(_run_range, tasks), extras)
+        return _collect(map(_run_range, tasks))
     # Imported only when a pool starts: multiprocessing adds about 25 ms to
     # the import of the package.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=pool) as executor:
-        return _collect(executor.map(_run_range, tasks), extras)
+        return _collect(executor.map(_run_range, tasks))
 
 
-def _collect(parts, extras) -> TrialRows:
-    """The ranges' rows in one TrialRows, extended as each range's result
-    arrives; each range's extras are appended to `extras`."""
+def _collect(parts) -> tuple[TrialRows, list]:
+    """The ranges' rows in one TrialRows and their extras in one list,
+    each extended as a range's result arrives."""
     rows = TrialRows()
+    extras: list = []
     for part, part_extras in parts:
         rows.extend(part)
-        if extras is not None:
-            extras.extend(part_extras)
-    return rows
+        extras.extend(part_extras)
+    return rows, extras
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, Sequence[TrialResult]]:
@@ -479,10 +484,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, Sequence[TrialResult
 def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     p = _params(config)
     envelope = _bounds.husband_count_envelope(n, p["c"], p["C"], p["delta"], p["eps"])
-    stream = ((n, config.girl, config.method), _seed_prefix(config, n), 0)
-    results = _map_trials(
-        _husband_count_trial, [stream], config.trials, config.workers
-    )
+    stream = (METHODS[config.method], (n, config.girl), _seed_prefix(config, n), 0)
+    results, _ = _map_trials([stream], config.trials, config.workers)
     counts = results.column("husband_count")
     first_output = [t for t in results.column("first_output_time") if t is not None]
     block = {
@@ -505,12 +508,10 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, Tria
     # own: larger tasks raise the workers' peak memory. Method b's rows
     # follow method a's, while its seeds fold trials 0.. on stream 1.
     streams = [
-        ((n, config.girl, "a"), _seed_prefix(config, n, 0), 0),
-        ((n, config.girl, "b"), _seed_prefix(config, n, 1), config.trials),
+        (METHODS["a"], (n, config.girl), _seed_prefix(config, n, 0), 0),
+        (METHODS["b"], (n, config.girl), _seed_prefix(config, n, 1), config.trials),
     ]
-    results = _map_trials(
-        _husband_count_trial, streams, config.trials, config.workers
-    )
+    results, _ = _map_trials(streams, config.trials, config.workers)
     counts = results.column("husband_count")
     counts_a = Counter(counts[: config.trials])
     counts_b = Counter(counts[config.trials :])
@@ -528,11 +529,8 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, Tria
 def _run_audit_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
     delta = config.params["delta"]
     cap = audit_window(n, delta)
-    stream = ((n, config.girl, delta, cap), _seed_prefix(config, n), 0)
-    reports: list[dict] = []
-    results = _map_trials(
-        _audit_trial, [stream], config.trials, config.workers, reports
-    )
+    stream = (_audit_trial, (n, config.girl, delta, cap), _seed_prefix(config, n), 0)
+    results, reports = _map_trials([stream], config.trials, config.workers)
     check_names = list(reports[0]["checks"])
     pass_rates = {
         name: sum(1 for rep in reports if rep["checks"][name]["passed"])
@@ -582,16 +580,10 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, Trial
             start = time.perf_counter_ns()
             counts[i] += sum(map(lt, rng.block(len(limits)), limits))
             elapsed_ns[i] += time.perf_counter_ns() - start
-    results = TrialRows(
-        zip(
-            range(trials),
-            _trial_seeds(prefix, 0, trials),
-            counts,
-            repeat(None),
-            repeat(0),
-            (ns // 1000 for ns in elapsed_ns),
-        )
-    )
+    results = TrialRows()
+    seeds = _trial_seeds(prefix, 0, trials)
+    for i, (seed, count, ns) in enumerate(zip(seeds, counts, elapsed_ns)):
+        results.add(i, seed, count, None, 0, ns // 1000)
     expected_var = h_m - _bounds.harmonic_second(m)
     stderr = math.sqrt(expected_var / config.trials)
     mean = sum(counts) / len(counts)
@@ -616,8 +608,8 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, Trial
 
 
 def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
-    stream = ((n, config.girl), _seed_prefix(config, n), 0)
-    results = _map_trials(_coupon_trial, [stream], config.trials, config.workers)
+    stream = (_coupon_trial, (n, config.girl), _seed_prefix(config, n), 0)
+    results, _ = _map_trials([stream], config.trials, config.workers)
     times = results.column("first_output_time")
     window = _bounds.first_output_window(n)
     expected = n * _bounds.harmonic(n)

@@ -105,10 +105,10 @@ def _acceptance_limits(n: int) -> tuple[int, ...]:
     return (0, *map(_acceptance_limit, range(1, n + 1)))
 
 
-def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
-    """Run the chain from a fresh state until the stop rule fires, fill in
-    `stats`, the empty record of `new_state`, and return the stop that
-    fired: the chain's loop, behind `run`.
+def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
+    """Run the chain from a fresh state until the stop rule fires and fill
+    in `stats`, the empty record of `new_state`: the chain's loop, behind
+    `run`.
 
     stop is a stop rule of `run`; cap is the proposal count where "cap"
     fires, and None under the other rules. Boy 0 proposes first, with one
@@ -178,13 +178,10 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
             # Here the proposer or his tried count has changed, a husband
             # was emitted, the cap was reached, or a block ran out.
             if first_output and emitted is not None:
-                fired = "first_output"
                 break
             if natural and count == n:
-                fired = "natural"
                 break
             if t >= cap:
-                fired = "cap"
                 break
         for u in it:
             if k:
@@ -254,7 +251,6 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> str:
     stats.t = t
     if not post:
         stats.pre_output_acceptances = accepts_by_g
-    return fired
 
 
 def run(
@@ -286,7 +282,8 @@ def run(
     if stop != "cap" and max_proposals is not None:
         raise ValueError(f"max_proposals applies to stop='cap' only, not {stop!r}")
     stats = new_state(n, girl, track=track)
-    stats.stopped = _advance(stats, Rng(seed), stop, max_proposals)
+    _advance(stats, Rng(seed), stop, max_proposals)
+    stats.stopped = stop
     return list(stats.outputs), stats
 
 

@@ -13,7 +13,8 @@ the checkout. Run it as:
 Before any mutant, the named tests run once on an unmutated copy, so a
 test that fails on its own cannot pass for a kill. The exit status is 0
 when every mutant is killed, 1 when one survives or no longer applies,
-and 2 when the unmutated run fails. Pytest does not collect this file.
+and 2 when the unmutated run fails or an argument names no mutant.
+Pytest does not collect this file.
 
 Three boundary mutants are left out because no test can kill them:
 `find_blocking_pairs`' `boy_rank[b][g] < b_bar` read as `<=` differs only
@@ -142,8 +143,8 @@ MUTANTS = [
     Mutant(
         "a row with no first output stored as time 0",
         HARNESS,
-        "            columns[3] = [_NO_OUTPUT if t is None else t for t in columns[3]]\n",
-        "            columns[3] = [0 if t is None else t for t in columns[3]]\n",
+        "f.append(_NO_OUTPUT if first_output_time is None else first_output_time)",
+        "f.append(0 if first_output_time is None else first_output_time)",
         ("tests/test_golden.py::test_trials_csv_digest[lemma_audit]",),
     ),
     Mutant(
@@ -156,9 +157,8 @@ MUTANTS = [
     Mutant(
         "husband_count and pre_output_acceptances columns swapped",
         HARNESS,
-        "            columns = list(zip(*rows)) or [()] * len(self._columns)\n",
-        "            columns = list(zip(*rows)) or [()] * len(self._columns)\n"
-        "            columns[2], columns[4] = columns[4], columns[2]\n",
+        "        t, s, h, f, p, e = self._columns\n",
+        "        t, s, p, f, h, e = self._columns\n",
         (
             "tests/test_harness.py::TestTheoremExperiment::test_counts_match_oracle_at_small_n",
             "tests/test_golden.py::test_report_digest[theorem_a]",
@@ -174,9 +174,16 @@ MUTANTS = [
     Mutant(
         "each range's extras put before the earlier ranges'",
         HARNESS,
-        "            extras.extend(part_extras)\n",
-        "            extras[:0] = part_extras\n",
+        "        extras.extend(part_extras)\n",
+        "        extras[:0] = part_extras\n",
         ("tests/test_golden.py::test_report_digest[lemma_audit]",),
+    ),
+    Mutant(
+        "a range's start rounded down to a multiple of the even share",
+        HARNESS,
+        "k * trials // parts, ",
+        "k * (trials // parts), ",
+        ("tests/test_harness.py::test_uneven_ranges_equal_one_range",),
     ),
     Mutant(
         "trial index folded into the seed without its own mix",
@@ -273,7 +280,12 @@ def _tests_pass(tree: Path, tests) -> bool:
 
 
 def main(argv: list[str]) -> int:
-    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    valid = range(1, len(MUTANTS) + 1)
+    chosen = [int(a) if a.isdigit() else 0 for a in argv] or valid
+    bad = [a for a, i in zip(argv, chosen) if i not in valid]
+    if bad:
+        print(f"no mutant {', '.join(bad)}; mutants are numbered 1 to {len(MUTANTS)}")
+        return 2
     mutants = [(i, MUTANTS[i - 1]) for i in chosen]
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
