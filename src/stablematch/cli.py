@@ -17,7 +17,7 @@ from . import instance as instance_mod
 from .harness import METHODS, ConfigError, ExperimentConfig
 from .harness import run_experiment, write_outputs
 from .matching import Matching, find_blocking_pairs, stable_husbands
-from .oracle import OracleScaleError, enumerate_stable
+from .oracle import enumerate_stable
 from .random_model import audit_window, audit_window_stats, run as run_process
 
 GIRL_LETTERS = "ABCD"
@@ -283,15 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        instance_mod.InstanceLoadError,
-        OracleScaleError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    # ConfigError, InstanceLoadError, OracleScaleError and JSONDecodeError
+    # are all ValueErrors.
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -37,6 +37,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
+from itertools import islice
 from operator import getitem, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -512,9 +513,9 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, Tria
         (METHODS["b"], (n, config.girl), _seed_prefix(config, n, 1), config.trials),
     ]
     results, _ = _map_trials(streams, config.trials, config.workers)
-    counts = results.column("husband_count")
-    counts_a = Counter(counts[: config.trials])
-    counts_b = Counter(counts[config.trials :])
+    counts = results._columns[TrialResult._fields.index("husband_count")]
+    counts_a = Counter(islice(counts, config.trials))
+    counts_b = Counter(islice(counts, config.trials, None))
     block = {
         "n": n,
         "trials_per_sampler": config.trials,

@@ -188,21 +188,14 @@ def stable_husbands(
     boy_prefs = instance.boy_prefs
 
     husband: list[int | None] = [None] * n
-    best_rank: list[int | None] = [None] * n  # best offer ever, per girl
+    best_rank = [n] * n  # best offer ever, per girl; n, above every rank, if none
     next_choice = [0] * n
     t = 0
-    post_output = False
     first_output_time: int | None = None
     acceptances_by_girl = 0
     husbands: list[int] = []
     matchings: list[Matching] = []
     trace: list[TraceEvent] | None = [] if keep_trace else None
-
-    def snapshot(extra: tuple[int, int] | None = None) -> Matching:
-        rows = list(husband)
-        if extra is not None:
-            rows[extra[0]] = extra[1]
-        return Matching(rows)
 
     # Free-boy selection happens only before the first output: a displaced
     # boy proposes at once, and afterwards every girl but the designated one
@@ -217,13 +210,12 @@ def stable_husbands(
                 s = husband[girl]
                 assert s is not None
                 husbands.append(s)
-                matchings.append(snapshot())
+                matchings.append(Matching(husband))
                 if trace is not None:
                     trace.append(TraceEvent("output", t, boy=s))
                 first_output_time = t
                 husband[girl] = None
                 proposer = s
-                post_output = True
                 continue
             proposer = introduced
             introduced += 1
@@ -236,7 +228,7 @@ def stable_husbands(
         next_choice[p] += 1
         t += 1
         rank = girl_rank[h][p]
-        accepted = best_rank[h] is None or rank < best_rank[h]
+        accepted = rank < best_rank[h]
         if trace is not None:
             trace.append(TraceEvent("propose", t, boy=p, girl=h, accepted=accepted))
         if not accepted:
@@ -244,19 +236,16 @@ def stable_husbands(
         best_rank[h] = rank
         if h == girl:
             acceptances_by_girl += 1
-            if post_output:
+            if first_output_time is not None:
                 # Emitted immediately; she stays single at her new standard.
                 husbands.append(p)
-                matchings.append(snapshot(extra=(girl, p)))
+                matchings.append(Matching(husband[:girl] + [p] + husband[girl + 1 :]))
                 if trace is not None:
                     trace.append(TraceEvent("output", t, boy=p))
                 continue
-        previous = husband[h]
-        husband[h] = p
-        if previous is None:
-            proposer = None  # back to free-boy selection
-        else:
-            proposer = previous
+        # The displaced husband proposes next; after her first offer there is
+        # none, and None sends the turn back to free-boy selection.
+        proposer, husband[h] = husband[h], p
 
     return HusbandEnumeration(
         girl=girl,

@@ -19,8 +19,10 @@ Pytest does not collect this file.
 Three boundary mutants are left out because no test can kill them:
 `find_blocking_pairs`' `boy_rank[b][g] < b_bar` read as `<=` differs only
 when g is b's wife, and then the girl side has already skipped the pair;
-`stable_husbands`' `rank < best_rank[h]` read as `<=` differs only when a
-boy offers to the same girl twice, which his advancing list rules out; the
+`stable_husbands`' `rank < best_rank[h]` read as `<=` differs only when the
+rank equals her best offer's, which the sentinel n, above every rank, never
+does, and a real rank does only when a boy offers to the same girl twice,
+which his advancing list rules out; the
 audit's `c > pair_hi` read as `c >= pair_hi` differs only when a repeated
 pair's count, an integer of at least 2, equals the bound, which is 1 for
 n <= 2 and ln n, never an integer, above.
@@ -51,6 +53,8 @@ INSTANCE = "src/stablematch/instance.py"
 MATCHING = "src/stablematch/matching.py"
 HARNESS = "src/stablematch/harness.py"
 RANDOM_MODEL = "src/stablematch/random_model.py"
+RNG = "src/stablematch/rng.py"
+BOUNDS = "src/stablematch/bounds.py"
 
 MUTANTS = [
     Mutant(
@@ -92,6 +96,48 @@ MUTANTS = [
         ("tests/test_instance.py::TestSaveLoad::test_deeply_nested_document",),
     ),
     Mutant(
+        "generated row keeps a draw its modulus rejects",
+        INSTANCE,
+        "                if u < limit:\n",
+        "                if u <= limit:\n",
+        ("tests/test_instance.py::TestBlockDraws::test_forced_rejection",),
+    ),
+    Mutant(
+        "a block advances the stream one draw short",
+        RNG,
+        "        self._state = (self._state + k * _GOLDEN) & _MASK64\n",
+        "        self._state = (self._state + (k - 1) * _GOLDEN) & _MASK64\n",
+        ("tests/test_rng.py::test_block_at_run_sizes",),
+    ),
+    Mutant(
+        "unread steps the stream back one draw short",
+        RNG,
+        "        self._state = (self._state - k * _GOLDEN) & _MASK64\n",
+        "        self._state = (self._state - (k - 1) * _GOLDEN) & _MASK64\n",
+        ("tests/test_rng.py::test_unread_round_trip",),
+    ),
+    Mutant(
+        "harmonic number summed one term short",
+        BOUNDS,
+        "        return math.fsum(1.0 / k for k in range(1, m + 1))\n",
+        "        return math.fsum(1.0 / k for k in range(1, m))\n",
+        ("tests/test_bounds.py::TestMoments::test_harmonic_small_values",),
+    ),
+    Mutant(
+        "rising product past z = m sums one log1p factor too many",
+        BOUNDS,
+        "_log1p_sum(m - 1, z)",
+        "_log1p_sum(m, z)",
+        ("tests/test_bounds.py::TestEvalLogBeyondM::test_matches_summed_form",),
+    ),
+    Mutant(
+        "golden-section search keeps the worse side",
+        BOUNDS,
+        "        if fc <= fd:\n",
+        "        if fc > fd:\n",
+        ("tests/test_bounds.py::TestOptimizeTail",),
+    ),
+    Mutant(
         "boy married to two girls accepted",
         MATCHING,
         "            if wife[b] is not None:\n",
@@ -115,8 +161,22 @@ MUTANTS = [
     Mutant(
         "search girl accepts a worse offer",
         MATCHING,
-        "        accepted = best_rank[h] is None or rank < best_rank[h]\n",
-        "        accepted = best_rank[h] is None or rank > best_rank[h]\n",
+        "        accepted = rank < best_rank[h]\n",
+        "        accepted = rank > best_rank[h]\n",
+        ("tests/test_acceptance.py::test_criterion_1_fixture_exactness",),
+    ),
+    Mutant(
+        "search girl's no-offer sentinel is her worst rank",
+        MATCHING,
+        "    best_rank = [n] * n",
+        "    best_rank = [n - 1] * n",
+        ("tests/test_golden.py::test_stable_husbands_digest",),
+    ),
+    Mutant(
+        "search drops the displaced husband",
+        MATCHING,
+        "        proposer, husband[h] = husband[h], p\n",
+        "        proposer, husband[h] = None, p\n",
         ("tests/test_acceptance.py::test_criterion_1_fixture_exactness",),
     ),
     Mutant(
@@ -194,6 +254,23 @@ MUTANTS = [
             "tests/test_harness.py::test_trial_seeds_are_the_full_path",
             "tests/test_harness.py::test_trial_seed_derivation_is_arithmetic",
         ),
+    ),
+    Mutant(
+        "chain keeps a proposal draw its modulus rejects",
+        RANDOM_MODEL,
+        "            elif u < limit:\n",
+        "            elif u <= limit:\n",
+        (
+            "tests/test_random_model.py::TestForcedRejection"
+            "::test_run_equals_step_replay",
+        ),
+    ),
+    Mutant(
+        "chain's acceptance test reversed",
+        RANDOM_MODEL,
+        "                if u >= accept[k]:\n",
+        "                if u < accept[k]:\n",
+        ("tests/test_golden.py::test_run_digest",),
     ),
     Mutant(
         "a repeated pair counted in full in the girl's total",

@@ -115,6 +115,22 @@ class TestTailBound:
             tail_bound(pgf, "sideways", 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: tail_bound(RisingProductPgf(4), "upper", math.inf, 2.0),
+         "threshold r must be finite"),
+        (lambda: optimize_tail(RisingProductPgf(4), "sideways", 1.0),
+         "direction must be 'lower' or 'upper'"),
+        (lambda: harmonic(-1), "harmonic number index must be nonnegative"),
+    ],
+    ids=["tail-bound-r-infinite", "optimize-direction-unknown", "harmonic-negative"],
+)
+def test_bad_argument_is_a_named_error(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 class TestOptimizeTail:
     def test_below_mean_degenerates_to_one(self):
         pgf = BinomialPowerPgf(2, 10)  # mean 5

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from stablematch import harness
 from stablematch.cli import main
 from stablematch.harness import KINDS
 from stablematch.instance import fixture_4x4, save
@@ -101,8 +102,10 @@ class TestCheck:
             ([True, 0, 2, 3], "husband_of[0]"),
             ({"husband_of": [3, 0, "2", 1]}, "husband_of[2]"),
             ({}, "no 'husband_of'"),
+            ([3, 0, 1], "exactly 4 husband entries"),
         ],
-        ids=["list-entry", "float-entry", "bool-entry", "string-entry", "no-key"],
+        ids=["list-entry", "float-entry", "bool-entry", "string-entry", "no-key",
+             "short"],
     )
     def test_malformed_matching_is_a_named_error(
         self, capsys, fixture_file, tmp_path, doc, named
@@ -291,6 +294,24 @@ class TestExperiment:
         assert code == 0
         assert doc["blocks"][0]["m"] == 50
 
+    def test_flags_override_a_config_file(self, capsys, tmp_path, monkeypatch):
+        # Two usable CPUs, so that --workers 2 starts a real pool anywhere.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"kind": "equivalence", "n": 3, "trials": 100, "master_seed": 6})
+        )
+        for workers, extra in (("1", []), ("2", ["--plot-data"])):
+            code, _ = run_cli(
+                capsys, "experiment", "--config", str(cfg), "--workers", workers,
+                "--out", str(tmp_path / workers), *extra,
+            )
+            assert code == 0
+        one, two = tmp_path / "1", tmp_path / "2"
+        assert (two / "report.json").read_bytes() == (one / "report.json").read_bytes()
+        assert (two / "histogram.tsv").exists()
+        assert not (one / "histogram.tsv").exists()
+
     def test_gate_failure_exit_one(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -384,6 +405,13 @@ DEEP_PARAM = "[" * 5_000 + "]" * 5_000
             ["--param", "m=5", "--param", "eps=null"],
         ),
         ({**BASE_CONFIG, "trials": 1}, ["--method", "b", "--param", "detla=0.3"]),
+        ({**BASE_CONFIG, "method": "c"}, []),
+        (
+            {"kind": "acceptance_dist", "n": 1, "trials": 1, "master_seed": 1,
+             "params": {"m": 3, "eps": 0}},
+            [],
+        ),
+        ([BASE_CONFIG], []),
     ],
     ids=[
         "param-c-string",
@@ -410,6 +438,9 @@ DEEP_PARAM = "[" * 5_000 + "]" * 5_000
         "param-c-null",
         "param-eps-null",
         "param-key-unknown",
+        "method-unknown",
+        "eps-zero",
+        "config-list",
     ],
 )
 def test_mistyped_config_is_a_named_error(capsys, tmp_path, config, extra):
@@ -449,11 +480,40 @@ def test_deeply_nested_json_is_a_named_error(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,doc,named",
+    [
+        (["bounds", "--pgf", "binom", "1024", "--tail", "upper", "--r", "1", "--x",
+          "2"], None, "--pgf binom needs two integers: cells trials"),
+        (["bounds", "--pgf", "accept", "10", "--tail", "upper", "--r", "inf", "--x",
+          "2"], None, "threshold r must be finite, got inf"),
+        (["husbands", "--instance", "@doc.json", "--girl", "0"],
+         {"n": 2, "girl_prefs": [[0, 1], [0]], "boy_prefs": [[0, 1], [1, 0]]},
+         "girl 1: row has length 1, expected 2"),
+        (["husbands", "--instance", "@doc.json", "--girl", "0"],
+         {"n": 2, "girl_prefs": [[0, 1], [1, 0]], "boy_prefs": [[0, 1], [1, "0"]]},
+         "boy 1: non-integer entry '0'"),
+    ],
+    ids=["binom-one-integer", "r-infinite", "instance-short-row",
+         "instance-string-entry"],
+)
+def test_bad_input_is_a_named_error(capsys, tmp_path, argv, doc, named):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
 def test_huge_offer_count_is_named_before_any_allocation():
-    # acceptance_dist builds an m-long table of acceptance limits, so an m
-    # too large for a float must be named before it. The child process caps
-    # its own address space at 1 GiB: should the table come first, the run
-    # ends in a MemoryError rather than filling the host's memory.
+    # acceptance_dist reads its acceptance limits 2,048 at a time, but an m
+    # too large for a float must still be named before any work: the block
+    # computes bounds.harmonic(m) first, which raises OverflowError. The
+    # child process caps its own address space at 1 GiB, so a run that
+    # allocates by m ends in a MemoryError rather than filling the host's
+    # memory.
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"

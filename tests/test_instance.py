@@ -206,6 +206,9 @@ class TestValidate:
         problems = validate(bad)
         assert any("boy 3" in p and "out of range" in p for p in problems)
 
+    def test_no_rows(self):
+        assert validate(PreferenceInstance((), ())) == ["n must be >= 1, got 0"]
+
 
 class TestSaveLoad:
     def test_round_trip_fixture(self, tmp_path):
@@ -280,6 +283,17 @@ class TestSaveLoad:
         with pytest.raises(InstanceLoadError) as err:
             from_dict(doc)
         assert err.value.kind == "duplicate"
+
+    @pytest.mark.parametrize(
+        "girl_prefs,kind",
+        [([[0, 1], [0]], "size-mismatch"), ([[0, 1], [1, 0.0]], "malformed")],
+        ids=["short-row", "float-entry"],
+    )
+    def test_row_fault_kind(self, girl_prefs, kind):
+        doc = {"n": 2, "girl_prefs": girl_prefs, "boy_prefs": [[0, 1], [1, 0]]}
+        with pytest.raises(InstanceLoadError) as err:
+            from_dict(doc)
+        assert err.value.kind == kind
 
     def test_bad_n(self):
         with pytest.raises(InstanceLoadError) as err:
