@@ -488,7 +488,6 @@ def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRow
     stream = (METHODS[config.method], (n, config.girl), _seed_prefix(config, n), 0)
     results, _ = _map_trials([stream], config.trials, config.workers)
     counts = results.column("husband_count")
-    first_output = [t for t in results.column("first_output_time") if t is not None]
     block = {
         "n": n,
         "trials": config.trials,
@@ -496,7 +495,7 @@ def _run_theorem_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRow
         "girl": config.girl,
         "envelope": envelope.to_dict(),
         "summary": summarize(counts, (envelope.lower, envelope.upper)),
-        "first_output": summarize(first_output),
+        "first_output": summarize(results.column("first_output_time")),
         "pre_output_acceptances": summarize(
             results.column("pre_output_acceptances")
         ),

@@ -115,8 +115,10 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     boy introduced. The chain's working state is local to the loop:
     proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
     == 1 once he has proposed to girl j; ntried[b] is his count of tried
-    girls, written back only when he stops proposing; best_offer[j] is the
-    boy holding girl j's best offer (None before her first fresh proposal).
+    girls, written back only when his run ends, so a run's fresh count is
+    count - ntried[p]; best_offer[j] is the boy holding girl j's best offer
+    (None before her first fresh proposal), no longer kept for the
+    designated girl after the first output.
     Draws come from `Rng.block`, with `randrange`'s rejection rule and
     `random`'s float (as the integer bound `_acceptance_limit`), so each is
     the draw those calls would take. Blocks start small and double up to
@@ -126,9 +128,15 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     The stop rule is checked only where it can newly hold and no offer is
     pending: the loop reads every draw of a block in one pass, and a fresh
     proposal leaves its offer count in k, which makes the next draw, in
-    this block or the next, its acceptance draw. Once that offer is
-    resolved, the loop leaves the pass for the check only if the proposer
-    has tried every girl, the cap is reached or a husband was emitted.
+    this block or the next, its acceptance draw. A rejected offer leaves
+    the pass for the check only if the proposer has tried every girl or the
+    cap is reached; an accepted one, which ends his run, always does.
+
+    After the first output the designated girl's acceptance emits the
+    proposer, who keeps proposing; any other acceptance hands the turn, as
+    the search does, to the girl's previous holder, else to the next boy
+    not yet introduced, else (every girl now holds an offer) to the
+    designated girl's holder, emitted as the first husband.
 
     A fresh proposal writes only t, the tried byte, the tried count and
     the girl's offer count (her entry in nonredundant_per_girl); a
@@ -162,13 +170,11 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     tried = proposed[p]
     count = 0
     introduced = 1
-    post = False
-    run_start = fresh_start = 0
+    run_start = 0
     accepts_by_g = 0
     g = stats.girl
     natural = stop == "natural"
     first_output = stop == "first_output"
-    emitted: int | None = None
     # The offer count of the fresh proposal whose acceptance draw comes
     # next, or 0 when no offer is pending.
     k = 0
@@ -177,7 +183,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
         if not k:
             # Here the proposer or his tried count has changed, a husband
             # was emitted, the cap was reached, or a block ran out.
-            if first_output and emitted is not None:
+            if first_output and outputs:
                 break
             if natural and count == n:
                 break
@@ -193,37 +199,27 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
                     continue
                 k = 0
                 if run_lengths is not None:
-                    run_lengths.append((p, t - run_start, count - fresh_start))
+                    run_lengths.append((p, t - run_start, count - ntried[p]))
                     run_start = t
+                ntried[p] = count
                 if h == g:
                     accepts_by_g += 1
+                    if outputs:
+                        outputs.append((p, t))
+                        break
                 previous = best_offer[h]
                 best_offer[h] = p
-                emitted = None
-                if previous is None:
-                    if introduced < n:
-                        nxt = introduced
-                        introduced += 1
-                    else:
-                        emitted = best_offer[g]
-                        nxt = emitted  # type: ignore[assignment]
-                elif h == g and post:
-                    emitted = p
-                    nxt = p
+                if previous is not None:
+                    p = previous
+                elif introduced < n:
+                    p = introduced
+                    introduced += 1
                 else:
-                    nxt = previous
-                ntried[p] = count
-                p = nxt
+                    p = best_offer[g]  # type: ignore[assignment]
+                    outputs.append((p, t))
                 tried = proposed[p]
-                count = fresh_start = ntried[p]
-                if emitted is not None:
-                    outputs.append((emitted, t))
-                    if not post:
-                        stats.pre_output_acceptances = accepts_by_g - 1
-                        post = True
-                    break
-                if count == n or t >= cap:
-                    break
+                count = ntried[p]
+                break
             elif u < limit:
                 h = u % n
                 if tried[h]:
@@ -247,10 +243,9 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
 
     rng.unread(it.__length_hint__())
     if run_lengths is not None:
-        run_lengths.append((p, t - run_start, count - fresh_start))
+        run_lengths.append((p, t - run_start, count - ntried[p]))
     stats.t = t
-    if not post:
-        stats.pre_output_acceptances = accepts_by_g
+    stats.pre_output_acceptances = accepts_by_g - len(outputs)
 
 
 def run(
@@ -273,7 +268,7 @@ def run(
     which fire with probability 1. track records stats.run_lengths and
     stats.pair_counts, which only `entity_totals` and the audit read;
     without it both are None. Returns (outputs, stats); outputs are (boy,
-    time) pairs.
+    time) pairs, the record's own list stats.outputs.
     """
     if stop not in ("natural", "cap", "first_output"):
         raise ValueError(f"unknown stop rule {stop!r}")
@@ -284,7 +279,7 @@ def run(
     stats = new_state(n, girl, track=track)
     _advance(stats, Rng(seed), stop, max_proposals)
     stats.stopped = stop
-    return list(stats.outputs), stats
+    return stats.outputs, stats
 
 
 def entity_totals(stats: RunStats) -> tuple[list[int], list[int], list[int]]:

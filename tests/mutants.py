@@ -11,7 +11,9 @@ the checkout. Run it as:
     python tests/mutants.py 3 5      # mutants 3 and 5 only (1-based)
 
 Before any mutant, the named tests run once on an unmutated copy, so a
-test that fails on its own cannot pass for a kill. The exit status is 0
+test that fails on its own cannot pass for a kill. A pytest run that
+outlasts TIMEOUT is stopped and counts as failing, so a mutant that makes
+a loop endless is killed, not hung on. The exit status is 0
 when every mutant is killed, 1 when one survives or no longer applies,
 and 2 when the unmutated run fails or an argument names no mutant.
 Pytest does not collect this file.
@@ -39,6 +41,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# Seconds one pytest run may take; the unmutated run of every named test
+# together takes about 7 s on a 2-CPU host.
+TIMEOUT = 60
 
 
 class Mutant(NamedTuple):
@@ -266,11 +271,25 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "chain keeps only the proposal draws its modulus rejects",
+        RANDOM_MODEL,
+        "            elif u < limit:\n",
+        "            elif u > limit:\n",
+        ("tests/test_random_model.py::TestForcedPaths::test_n1_natural",),
+    ),
+    Mutant(
         "chain's acceptance test reversed",
         RANDOM_MODEL,
         "                if u >= accept[k]:\n",
         "                if u < accept[k]:\n",
         ("tests/test_golden.py::test_run_digest",),
+    ),
+    Mutant(
+        "chain accepts an offer whose draw equals its acceptance limit",
+        RANDOM_MODEL,
+        "                if u >= accept[k]:\n",
+        "                if u > accept[k]:\n",
+        ("tests/test_random_model.py::test_acceptance_draw_on_the_limit_is_a_rejection",),
     ),
     Mutant(
         "a repeated pair counted in full in the girl's total",
@@ -282,22 +301,29 @@ MUTANTS = [
     Mutant(
         "the first output's own acceptance counted as superseded",
         RANDOM_MODEL,
-        "stats.pre_output_acceptances = accepts_by_g - 1\n",
-        "stats.pre_output_acceptances = accepts_by_g\n",
+        "stats.pre_output_acceptances = accepts_by_g - len(outputs)\n",
+        "stats.pre_output_acceptances = accepts_by_g - len(outputs[1:])\n",
         ("tests/test_random_model.py::test_outputs_distinct_and_acceptance_identity",),
     ),
     Mutant(
         "acceptances after the first output counted as superseded at the stop",
         RANDOM_MODEL,
-        "    if not post:\n        stats.pre_output_acceptances = accepts_by_g\n",
-        "    if True:\n        stats.pre_output_acceptances = accepts_by_g\n",
+        "stats.pre_output_acceptances = accepts_by_g - len(outputs)\n",
+        "stats.pre_output_acceptances = accepts_by_g - len(outputs[:1])\n",
         ("tests/test_random_model.py::test_outputs_distinct_and_acceptance_identity",),
     ),
     Mutant(
         "a husband after the first output hands the turn to her previous offer",
         RANDOM_MODEL,
-        "                    emitted = p\n                    nxt = p\n",
-        "                    emitted = p\n                    nxt = previous\n",
+        "                        outputs.append((p, t))\n                        break\n",
+        "                        outputs.append((p, t))\n",
+        ("tests/test_golden.py::test_run_digest",),
+    ),
+    Mutant(
+        "chain drops the displaced husband",
+        RANDOM_MODEL,
+        "                if previous is not None:\n",
+        "                if False:\n",
         ("tests/test_golden.py::test_run_digest",),
     ),
     Mutant(
@@ -317,8 +343,17 @@ MUTANTS = [
     Mutant(
         "an ended run's fresh length counted from the proposer's first try",
         RANDOM_MODEL,
-        "                    run_lengths.append((p, t - run_start, count - fresh_start))\n",
+        "                    run_lengths.append((p, t - run_start, count - ntried[p]))\n",
         "                    run_lengths.append((p, t - run_start, count))\n",
+        ("tests/test_random_model.py::TestRunStepAgreement",),
+    ),
+    Mutant(
+        "the run at the stop has its fresh length counted from the proposer's first try",
+        RANDOM_MODEL,
+        "    if run_lengths is not None:\n"
+        "        run_lengths.append((p, t - run_start, count - ntried[p]))\n",
+        "    if run_lengths is not None:\n"
+        "        run_lengths.append((p, t - run_start, count))\n",
         ("tests/test_random_model.py::TestRunStepAgreement",),
     ),
     Mutant(
@@ -346,13 +381,17 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _tests_pass(tree: Path, tests) -> bool:
-    """Whether every named test passes in the tree."""
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=tree,
-        env={**os.environ, "PYTHONPATH": str(tree / "src")},
-        capture_output=True,
-    )
+    """Whether every named test passes in the tree within TIMEOUT seconds."""
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree,
+            env={**os.environ, "PYTHONPATH": str(tree / "src")},
+            capture_output=True,
+            timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return False
     return result.returncode == 0
 
 

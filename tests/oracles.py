@@ -559,10 +559,15 @@ def _unmix64(z: int) -> int:
     return z
 
 
+def seed_with_draw(j: int, value: int) -> int:
+    """A seed whose draw number j (0-based) is `value`, a 64-bit integer."""
+    return (_unmix64(value) - (j + 1) * 0x9E3779B97F4A7C15) % 2**64
+
+
 def seed_with_top_draw(j: int) -> int:
     """A seed whose draw number j (0-based) is 2**64 - 1, the one value
     `Rng.randrange` rejects for every modulus that is not a power of two."""
-    return (_unmix64(2**64 - 1) - (j + 1) * 0x9E3779B97F4A7C15) % 2**64
+    return seed_with_draw(j, 2**64 - 1)
 
 
 def reference_audit(

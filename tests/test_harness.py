@@ -216,6 +216,7 @@ class TestTheoremExperiment:
             inst = generate_uniform(6, row.seed)
             stable = enumerate_stable(inst)
             assert row.husband_count == len(stable.husband_sets[0])
+            assert row.first_output_time is not None
 
     def test_methods_agree_distributionally_via_equivalence_kind(self):
         config = ExperimentConfig(
@@ -232,6 +233,9 @@ class TestTheoremExperiment:
         block = report["blocks"][0]
         assert block["envelope"]["lower"] == pytest.approx(0.3 * math.log(8))
         assert block["summary"]["count"] == 20
+        # Every natural run emits a husband, so every trial has a first output.
+        assert block["first_output"]["count"] == 20
+        assert all(row.first_output_time is not None for row in rows)
         assert "inside_fraction" in block["summary"]
         assert report["gate_failures"] == []
 

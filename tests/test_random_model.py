@@ -27,6 +27,7 @@ from oracles import (
     reference_state,
     reference_step,
     repeated_pairs,
+    seed_with_draw,
     seed_with_top_draw,
     step_totals,
     tv_distance,
@@ -330,6 +331,31 @@ class TestBlockBoundary:
         draws = fast.t + (fast.t - fast.redundant_proposals)
         assert draws > 8 * n
         assert streams[0]._state == rng._state == (seed + draws * GOLDEN) % 2**64
+
+
+@pytest.mark.parametrize("n,k,j", [(3, 2, 5), (8, 2, 7), (8, 3, 53), (64, 2, 42)])
+def test_acceptance_draw_on_the_limit_is_a_rejection(monkeypatch, n, k, j):
+    # Draw j of the seed is exactly _acceptance_limit(k), and the replay
+    # reads it as the acceptance draw of an offer k, which `random`'s
+    # float rejects: (u >> 11) * 2**-53 * k is then at least 1.0, and a
+    # draw 2**11 lower would be accepted.
+    limit = random_model._acceptance_limit(k)
+    seed = seed_with_draw(j, limit)
+    probe = Rng(seed)
+    assert [probe.next_u64() for _ in range(j + 1)][-1] == limit
+    streams = _keep_streams(monkeypatch)
+    outputs, fast = run(n, 0, seed)
+
+    state = reference_state(n, 0)
+    rng = Rng(seed)
+    resolved = []
+    while state.ntried[state.proposer] < n:
+        event = reference_step(state, rng)
+        if not event.redundant and _draws_read(rng, seed) == j + 1:
+            resolved.append((state.stats.nonredundant_per_girl[event.girl], event.accepted))
+    assert resolved == [(k, False)]
+    assert_run_matches_steps(outputs, fast, state)
+    assert streams[0]._state == rng._state
 
 
 def _block_ends(n: int) -> list[int]:
