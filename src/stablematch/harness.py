@@ -38,7 +38,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import islice
-from operator import getitem, lt
+from operator import getitem, gt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -567,21 +567,21 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, Trial
     # before any trial.
     h_m = _bounds.harmonic(m)
     trials = config.trials
-    prefix = _seed_prefix(config, n)
-    rngs = list(map(Rng, _trial_seeds(prefix, 0, trials)))
+    seeds = list(_trial_seeds(_seed_prefix(config, n), 0, trials))
+    rngs = list(map(Rng, seeds))
     counts = [0] * trials
     elapsed_ns = [0] * trials
-    # Chunk by chunk, every trial's stream reads its next block against the
-    # chunk's limits, so memory stays flat in m. Blocks of at most 2048
-    # draws keep the block constants small at any m.
+    # Chunk by chunk, every trial's stream reads one block of draws against
+    # the chunk's limits and skips it, so memory stays flat in m. Chunks of
+    # at most 2048 draws keep the block constants small at any m.
     for lo in range(1, m + 1, 2048):
         limits = list(map(_acceptance_limit, range(lo, min(lo + 2048, m + 1))))
         for i, rng in enumerate(rngs):
             start = time.perf_counter_ns()
-            counts[i] += sum(map(lt, rng.block(len(limits)), limits))
+            counts[i] += sum(map(gt, limits, rng.draws(len(limits))))
+            rng.skip(len(limits))
             elapsed_ns[i] += time.perf_counter_ns() - start
     results = TrialRows()
-    seeds = _trial_seeds(prefix, 0, trials)
     for i, (seed, count, ns) in enumerate(zip(seeds, counts, elapsed_ns)):
         results.add(i, seed, count, None, 0, ns // 1000)
     expected_var = h_m - _bounds.harmonic_second(m)

@@ -86,10 +86,10 @@ def generate_uniform(n: int, seed: int) -> PreferenceInstance:
 
     Deterministic in (n, seed); rows come from one seeded stream via an
     unbiased Fisher-Yates shuffle, girls' rows first. Each swap takes the
-    draw `Rng.randrange(i + 1)` would, rejection rule included, but the
-    draws are read from `Rng.block` in blocks of at most 2048, each no
-    larger than the number of draws still due, so the stream is never read
-    past the last draw it would give.
+    draw `Rng.randrange(i + 1)` would, rejection rule included, read from
+    one pass over `Rng.draws`, whose first block holds the 2n(n - 1) draws
+    due without rejection, at most 2048; the stream then skips the draws
+    read, so it ends where the scalar shuffle leaves it.
     """
     if n < 1:
         raise ValueError("instance size must be at least 1")
@@ -97,25 +97,20 @@ def generate_uniform(n: int, seed: int) -> PreferenceInstance:
     # (slot i, modulus i + 1, randrange's rejection limit) of each swap.
     swaps = [(i, i + 1, 2**64 - 2**64 % (i + 1)) for i in range(n - 1, 0, -1)]
     due = 2 * n * (n - 1)
-    buf = ()
-    pos = end = 0
+    draws = rng.draws(min(due, 2048))
+    rejected = 0
     rows = []
     for _ in range(2 * n):
         row = list(range(n))
         for i, m, limit in swaps:
-            while True:
-                if pos == end:
-                    end = min(due, 2048)
-                    buf = rng.block(end)
-                    pos = 0
-                u = buf[pos]
-                pos += 1
+            for u in draws:
                 if u < limit:
                     break
-            due -= 1
+                rejected += 1
             j = u % m
             row[i], row[j] = row[j], row[i]
         rows.append(row)
+    rng.skip(due + rejected)
     return PreferenceInstance.from_prefs(rows[:n], rows[n:])
 
 

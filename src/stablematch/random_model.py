@@ -119,18 +119,17 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     count - ntried[p]; best_offer[j] is the boy holding girl j's best offer
     (None before her first fresh proposal), no longer kept for the
     designated girl after the first output.
-    Draws come from `Rng.block`, with `randrange`'s rejection rule and
-    `random`'s float (as the integer bound `_acceptance_limit`), so each is
-    the draw those calls would take. Blocks start small and double up to
-    2048, so short runs never compute a large block, and unread draws are
-    handed back to the stream.
+    Draws are read in one pass over `Rng.draws`, with `randrange`'s
+    rejection rule and `random`'s float (as the integer bound
+    `_acceptance_limit`), so each is the draw those calls would take; a
+    fresh proposal takes its acceptance draw from the same iterator at
+    once, so no offer is ever pending. At the stop the stream skips the
+    draws read: one per proposal, one per fresh proposal and one per
+    draw the rejection rule refused.
 
-    The stop rule is checked only where it can newly hold and no offer is
-    pending: the loop reads every draw of a block in one pass, and a fresh
-    proposal leaves its offer count in k, which makes the next draw, in
-    this block or the next, its acceptance draw. A rejected offer leaves
-    the pass for the check only if the proposer has tried every girl or the
-    cap is reached; an accepted one, which ends his run, always does.
+    The stop rule is tested only where it can newly hold: the cap after a
+    redundant proposal; natural or cap after a rejected offer; all three
+    after an accepted one, which ends the proposer's run.
 
     After the first output the designated girl's acceptance emits the
     proposer, who keeps proposing; any other acceptance hands the turn, as
@@ -152,7 +151,6 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     run_lengths = stats.run_lengths
     pair_counts = stats.pair_counts
     outputs = stats.outputs
-    rng_block = rng.block
     accept = _acceptance_limits(n)
     # Rng.randrange's rejection limit: draws at or above it are redrawn.
     limit = 2**64 - 2**64 % n
@@ -162,8 +160,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     # The first block is sized from n (a natural run at n = 3 reads about
     # 17 draws) and from the cap (so a short capped run computes no more
     # than it can read); blocks then double up to 2048.
-    size = min(8 * n, 8 * cap, 2048)
-    it = iter(())
+    draws = rng.draws(min(8 * n, 8 * cap, 2048))
 
     t = 0
     p = 0
@@ -172,76 +169,61 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     introduced = 1
     run_start = 0
     accepts_by_g = 0
+    rejected = 0
     g = stats.girl
     natural = stop == "natural"
     first_output = stop == "first_output"
-    # The offer count of the fresh proposal whose acceptance draw comes
-    # next, or 0 when no offer is pending.
-    k = 0
 
-    while True:
-        if not k:
-            # Here the proposer or his tried count has changed, a husband
-            # was emitted, the cap was reached, or a block ran out.
-            if first_output and outputs:
-                break
-            if natural and count == n:
-                break
+    for u in draws:
+        if u >= limit:
+            rejected += 1
+            continue
+        h = u % n
+        t += 1
+        if tried[h]:
+            # A redundant proposal is a proposal too, always rejected.
+            if pair_counts is not None:
+                # The pair's first proposal was fresh.
+                pair_counts[p, h] = pair_counts.get((p, h), 1) + 1
             if t >= cap:
                 break
-        for u in it:
-            if k:
-                # The acceptance draw of offer k.
-                if u >= accept[k]:
-                    k = 0
-                    if count == n or t >= cap:
-                        break
-                    continue
-                k = 0
-                if run_lengths is not None:
-                    run_lengths.append((p, t - run_start, count - ntried[p]))
-                    run_start = t
-                ntried[p] = count
-                if h == g:
-                    accepts_by_g += 1
-                    if outputs:
-                        outputs.append((p, t))
-                        break
-                previous = best_offer[h]
-                best_offer[h] = p
-                if previous is not None:
-                    p = previous
-                elif introduced < n:
-                    p = introduced
-                    introduced += 1
-                else:
-                    p = best_offer[g]  # type: ignore[assignment]
-                    outputs.append((p, t))
-                tried = proposed[p]
-                count = ntried[p]
+            continue
+        tried[h] = 1
+        count += 1
+        k = fresh_per_girl[h] + 1
+        fresh_per_girl[h] = k
+        if next(draws) >= accept[k]:
+            if natural and count == n or t >= cap:
                 break
-            elif u < limit:
-                h = u % n
-                if tried[h]:
-                    # A redundant proposal is a proposal too, always
-                    # rejected, and it may reach the cap.
-                    t += 1
-                    if pair_counts is not None:
-                        # The pair's first proposal was fresh.
-                        pair_counts[p, h] = pair_counts.get((p, h), 1) + 1
-                    if t >= cap:
-                        break
-                    continue
-                t += 1
-                tried[h] = 1
-                count += 1
-                k = fresh_per_girl[h] + 1
-                fresh_per_girl[h] = k
+            continue
+        if run_lengths is not None:
+            run_lengths.append((p, t - run_start, count - ntried[p]))
+            run_start = t
+        ntried[p] = count
+        if h == g:
+            accepts_by_g += 1
+            if outputs:
+                # He keeps proposing, as after a rejected offer.
+                outputs.append((p, t))
+                if natural and count == n or t >= cap:
+                    break
+                continue
+        previous = best_offer[h]
+        best_offer[h] = p
+        if previous is not None:
+            p = previous
+        elif introduced < n:
+            p = introduced
+            introduced += 1
         else:
-            it = iter(rng_block(size).tolist())
-            size = min(size + size, 2048)
+            p = best_offer[g]  # type: ignore[assignment]
+            outputs.append((p, t))
+        tried = proposed[p]
+        count = ntried[p]
+        if first_output and outputs or natural and count == n or t >= cap:
+            break
 
-    rng.unread(it.__length_hint__())
+    rng.skip(t + sum(fresh_per_girl) + rejected)
     if run_lengths is not None:
         run_lengths.append((p, t - run_start, count - ntried[p]))
     stats.t = t

@@ -7,13 +7,13 @@ platform and Python version, so simulation traces are stable forever.
 Independent child streams for parallel trials are derived by hashing a
 (master seed, index...) path through the same finalizer.
 
-Because each output depends only on its own counter value, `Rng.block`
+Because each output depends only on its own counter value, `Rng.draws`
 computes many outputs at once: k counters are packed into one Python int as
 64-bit lanes spaced 128 bits apart, so each step of the finalizer is a single
 big-integer operation over all lanes. A 64-bit by 64-bit product fits in its
 lane's 128 bits, and every shift is masked back to the low 64 bits of each
 lane, so no bit ever crosses into a neighbouring lane and the outputs are
-exactly those of k calls to `next_u64`.
+exactly those of successive calls to `next_u64`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from itertools import chain
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,6 +58,25 @@ def _lanes(k: int) -> tuple[int, int, int]:
     return ones, ones * _MASK64, int.from_bytes(steps, "little")
 
 
+def _blocks(state: int, k: int) -> Iterator[list[int]]:
+    """The outputs that follow counter `state`, as a list of k draws, then
+    lists twice as long each time, up to 2048 a list."""
+    while True:
+        ones, mask, steps = _lanes(k)
+        z = (state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        # Each lane is two 64-bit words, low word first; the high word
+        # holds only bits shifted in from the next lane.
+        words = array("Q", z.to_bytes(16 * k, "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        yield words[::2].tolist()
+        state = (state + k * _GOLDEN) & _MASK64
+        k = min(k + k, 2048)
+
+
 class Rng:
     """A seeded SplitMix64 stream with the few draws the simulators need."""
 
@@ -71,28 +92,19 @@ class Rng:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def block(self, k: int) -> array:
-        """The next k outputs of `next_u64`, computed in one pass.
+    def draws(self, first: int) -> Iterator[int]:
+        """The outputs of `next_u64` from the stream's current state, without
+        end; the stream itself does not move, so a reader that takes j of
+        them then calls `skip(j)`.
 
-        Returned as an unsigned 64-bit array ("Q"). Bit-identical to k
-        successive `next_u64` calls, and leaves the stream in the same state.
+        They are computed in blocks, lazily: the first of `first` draws (1
+        when first is 0), each next one twice the last, up to 2048.
         """
-        ones, mask, steps = _lanes(k)
-        z = (self._state * ones + steps) & mask
-        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        z ^= z >> 31
-        # Each lane is two 64-bit words, low word first; the high word
-        # holds only bits shifted in from the next lane.
-        words = array("Q", z.to_bytes(16 * k, "little"))
-        if _BIG_ENDIAN:
-            words.byteswap()
-        self._state = (self._state + k * _GOLDEN) & _MASK64
-        return words[::2]
+        return chain.from_iterable(_blocks(self._state, first or 1))
 
-    def unread(self, k: int) -> None:
-        """Step the stream back by k draws, so its last k outputs come again."""
-        self._state = (self._state - k * _GOLDEN) & _MASK64
+    def skip(self, k: int) -> None:
+        """Move the stream forward by k draws."""
+        self._state = (self._state + k * _GOLDEN) & _MASK64
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

@@ -1,11 +1,12 @@
 """Mutation checks: small deliberate faults that named tests must catch.
 
 Each mutant gives a file, an exact text that occurs in it once, the text
-that replaces it, and the tests expected to fail once it is applied. For
-each mutant the script copies src/, tests/ and pyproject.toml to a
-temporary directory, applies the mutant there, runs the named tests with
-pytest, and reports the mutant killed if they fail. It writes nothing in
-the checkout. Run it as:
+that replaces it, and the tests expected to fail once it is applied; a
+mutant that spans files lists its further (file, text, replacement) edits
+in `also`. For each mutant the script copies src/, tests/ and
+pyproject.toml to a temporary directory, applies the mutant there, runs
+the named tests with pytest, and reports the mutant killed if they fail.
+It writes nothing in the checkout. Run it as:
 
     python tests/mutants.py          # every mutant
     python tests/mutants.py 3 5      # mutants 3 and 5 only (1-based)
@@ -52,6 +53,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]
+    also: tuple[tuple[str, str, str], ...] = ()
 
 
 INSTANCE = "src/stablematch/instance.py"
@@ -60,6 +62,15 @@ HARNESS = "src/stablematch/harness.py"
 RANDOM_MODEL = "src/stablematch/random_model.py"
 RNG = "src/stablematch/rng.py"
 BOUNDS = "src/stablematch/bounds.py"
+# After the first output the designated girl's acceptance emits the
+# proposer, who keeps the turn.
+_POST_OUTPUT_TURN = (
+    "                # He keeps proposing, as after a rejected offer.\n"
+    "                outputs.append((p, t))\n"
+    "                if natural and count == n or t >= cap:\n"
+    "                    break\n"
+    "                continue\n"
+)
 
 MUTANTS = [
     Mutant(
@@ -108,18 +119,25 @@ MUTANTS = [
         ("tests/test_instance.py::TestBlockDraws::test_forced_rejection",),
     ),
     Mutant(
-        "a block advances the stream one draw short",
+        "skip moves the stream one draw short",
         RNG,
         "        self._state = (self._state + k * _GOLDEN) & _MASK64\n",
         "        self._state = (self._state + (k - 1) * _GOLDEN) & _MASK64\n",
+        ("tests/test_rng.py::test_skip_round_trip",),
+    ),
+    Mutant(
+        "draws start their next block one draw early",
+        RNG,
+        "        state = (state + k * _GOLDEN) & _MASK64\n",
+        "        state = (state + (k - 1) * _GOLDEN) & _MASK64\n",
         ("tests/test_rng.py::test_block_at_run_sizes",),
     ),
     Mutant(
-        "unread steps the stream back one draw short",
-        RNG,
-        "        self._state = (self._state - k * _GOLDEN) & _MASK64\n",
-        "        self._state = (self._state - (k - 1) * _GOLDEN) & _MASK64\n",
-        ("tests/test_rng.py::test_unread_round_trip",),
+        "a generated instance's stream skips no rejected draw",
+        INSTANCE,
+        "    rng.skip(due + rejected)\n",
+        "    rng.skip(due)\n",
+        ("tests/test_instance.py::TestBlockDraws::test_forced_rejection",),
     ),
     Mutant(
         "harmonic number summed one term short",
@@ -237,6 +255,13 @@ MUTANTS = [
         ("tests/test_harness.py::test_trial_seeds_are_the_full_path",),
     ),
     Mutant(
+        "an acceptance chunk moves each stream one draw short",
+        HARNESS,
+        "            rng.skip(len(limits))\n",
+        "            rng.skip(len(limits) - 1)\n",
+        ("tests/test_harness.py::TestOtherKinds::test_acceptance_counts_past_one_chunk",),
+    ),
+    Mutant(
         "each range's extras put before the earlier ranges'",
         HARNESS,
         "        extras.extend(part_extras)\n",
@@ -263,8 +288,8 @@ MUTANTS = [
     Mutant(
         "chain keeps a proposal draw its modulus rejects",
         RANDOM_MODEL,
-        "            elif u < limit:\n",
-        "            elif u <= limit:\n",
+        "        if u >= limit:\n",
+        "        if u > limit:\n",
         (
             "tests/test_random_model.py::TestForcedRejection"
             "::test_run_equals_step_replay",
@@ -273,23 +298,49 @@ MUTANTS = [
     Mutant(
         "chain keeps only the proposal draws its modulus rejects",
         RANDOM_MODEL,
-        "            elif u < limit:\n",
-        "            elif u > limit:\n",
+        "        if u >= limit:\n",
+        "        if u < limit:\n",
         ("tests/test_random_model.py::TestForcedPaths::test_n1_natural",),
     ),
     Mutant(
         "chain's acceptance test reversed",
         RANDOM_MODEL,
-        "                if u >= accept[k]:\n",
-        "                if u < accept[k]:\n",
+        "        if next(draws) >= accept[k]:\n",
+        "        if next(draws) < accept[k]:\n",
         ("tests/test_golden.py::test_run_digest",),
     ),
     Mutant(
         "chain accepts an offer whose draw equals its acceptance limit",
         RANDOM_MODEL,
-        "                if u >= accept[k]:\n",
-        "                if u > accept[k]:\n",
+        "        if next(draws) >= accept[k]:\n",
+        "        if next(draws) > accept[k]:\n",
         ("tests/test_random_model.py::test_acceptance_draw_on_the_limit_is_a_rejection",),
+    ),
+    Mutant(
+        "the chain's stream skips no rejected draw",
+        RANDOM_MODEL,
+        "    rng.skip(t + sum(fresh_per_girl) + rejected)\n",
+        "    rng.skip(t + sum(fresh_per_girl))\n",
+        (
+            "tests/test_random_model.py::TestForcedRejection"
+            "::test_run_equals_step_replay",
+        ),
+    ),
+    Mutant(
+        "a rejected offer that reaches the cap does not stop the run",
+        RANDOM_MODEL,
+        "        if next(draws) >= accept[k]:\n"
+        "            if natural and count == n or t >= cap:\n",
+        "        if next(draws) >= accept[k]:\n"
+        "            if natural and count == n:\n",
+        ("tests/test_random_model.py::test_conservation_after_every_step",),
+    ),
+    Mutant(
+        "a redundant proposal that reaches the cap does not stop the run",
+        RANDOM_MODEL,
+        "            if t >= cap:\n                break\n",
+        "",
+        ("tests/test_random_model.py::test_conservation_after_every_step",),
     ),
     Mutant(
         "a repeated pair counted in full in the girl's total",
@@ -315,15 +366,28 @@ MUTANTS = [
     Mutant(
         "a husband after the first output hands the turn to her previous offer",
         RANDOM_MODEL,
-        "                        outputs.append((p, t))\n                        break\n",
-        "                        outputs.append((p, t))\n",
+        _POST_OUTPUT_TURN,
+        "                outputs.append((p, t))\n",
         ("tests/test_golden.py::test_run_digest",),
+    ),
+    Mutant(
+        "the chain and its reference both hand the post-output turn to her "
+        "previous offer",
+        RANDOM_MODEL,
+        _POST_OUTPUT_TURN,
+        "                outputs.append((p, t))\n",
+        (
+            "tests/test_random_model.py"
+            "::test_chain_is_the_search_on_the_revealed_instance",
+        ),
+        also=(("tests/oracles.py", "        output = p\n        nxt = p\n",
+               "        output = p\n        nxt = previous\n"),),
     ),
     Mutant(
         "chain drops the displaced husband",
         RANDOM_MODEL,
-        "                if previous is not None:\n",
-        "                if False:\n",
+        "        if previous is not None:\n",
+        "        if False:\n",
         ("tests/test_golden.py::test_run_digest",),
     ),
     Mutant(
@@ -343,8 +407,8 @@ MUTANTS = [
     Mutant(
         "an ended run's fresh length counted from the proposer's first try",
         RANDOM_MODEL,
-        "                    run_lengths.append((p, t - run_start, count - ntried[p]))\n",
-        "                    run_lengths.append((p, t - run_start, count))\n",
+        "            run_lengths.append((p, t - run_start, count - ntried[p]))\n",
+        "            run_lengths.append((p, t - run_start, count))\n",
         ("tests/test_random_model.py::TestRunStepAgreement",),
     ),
     Mutant(
@@ -378,6 +442,19 @@ def _copy_tree(dest: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(tree: Path, edits) -> bool:
+    """Make each (file, old, new) edit in the tree, unless some old text
+    is not in its file exactly once; returns whether they were made."""
+    texts = {path: (tree / path).read_text(encoding="utf-8") for path, _, _ in edits}
+    for path, old, new in edits:
+        if texts[path].count(old) != 1:
+            return False
+        texts[path] = texts[path].replace(old, new)
+    for path, text in texts.items():
+        (tree / path).write_text(text, encoding="utf-8")
+    return True
 
 
 def _tests_pass(tree: Path, tests) -> bool:
@@ -414,13 +491,10 @@ def main(argv: list[str]) -> int:
         for i, mutant in mutants:
             tree = Path(tmp) / f"mutant{i}"
             _copy_tree(tree)
-            target = tree / mutant.path
-            text = target.read_text(encoding="utf-8")
-            if text.count(mutant.old) != 1:
-                verdict = "not applied: the old text is not there exactly once"
-            else:
-                target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            if _apply(tree, ((mutant.path, mutant.old, mutant.new), *mutant.also)):
                 verdict = "SURVIVED" if _tests_pass(tree, mutant.tests) else "killed"
+            else:
+                verdict = "not applied: an old text is not there exactly once"
             if verdict != "killed":
                 survivors.append(i)
             print(f"{i:2d} {mutant.name} ({mutant.path}): {verdict}", flush=True)

@@ -522,6 +522,41 @@ def reference_run(
             return "first_output"
 
 
+def revealed_instance(n: int, girl: int, seed: int) -> PreferenceInstance:
+    """The instance that a natural run of the chain at (n, girl, seed)
+    reveals: on it the stable-husband search makes the chain's fresh
+    proposals, in the chain's order, with the chain's decisions.
+
+    It replays `reference_step` from a fresh state to the natural stop.
+    Each boy's list is his fresh proposals in order, then the girls he
+    never tried, ascending. Each girl's list puts every proposer she
+    accepted in front, the latest first, so each accepted offer beats all
+    before it; every proposer she rejected is appended, below the offer
+    she held; then come the boys who never proposed to her, ascending.
+    """
+    state = reference_state(n, girl, track=False)
+    rng = Rng(seed)
+    boy_rows: list[list[int]] = [[] for _ in range(n)]
+    accepted: list[list[int]] = [[] for _ in range(n)]
+    rejected: list[list[int]] = [[] for _ in range(n)]
+    while state.ntried[state.proposer] < n:
+        event = reference_step(state, rng)
+        if event.redundant:
+            continue
+        boy_rows[event.proposer].append(event.girl)
+        if event.accepted:
+            accepted[event.girl].insert(0, event.proposer)
+        else:
+            rejected[event.girl].append(event.proposer)
+    for row in boy_rows:
+        row += sorted(set(range(n)) - set(row))
+    girl_rows = []
+    for j in range(n):
+        row = accepted[j] + rejected[j]
+        girl_rows.append(row + sorted(set(range(n)) - set(row)))
+    return PreferenceInstance.from_prefs(girl_rows, boy_rows)
+
+
 def reference_shuffle(items: list, rng: Rng) -> None:
     """In-place Fisher-Yates shuffle, every permutation equally likely: one
     `Rng.randrange(i + 1)` for i = len(items) - 1 down to 1."""

@@ -301,6 +301,30 @@ class TestOtherKinds:
             expected = sum(rng.random() * k < 1.0 for k in range(1, m + 1))
             assert row.husband_count == expected
 
+    def test_acceptance_counts_past_one_chunk(self, monkeypatch):
+        # Three chunks, the last of 5 limits: in every trial's stream each
+        # chunk's draws follow the last chunk's, and the stream ends past
+        # offer m's draw, as m scalar `random()` calls leave it.
+        m, trials = 2 * 2048 + 5, 20
+        streams = []
+
+        def keep(seed):
+            streams.append(Rng(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(harness, "Rng", keep)
+        config = ExperimentConfig(
+            kind="acceptance_dist", n=1, trials=trials, master_seed=6,
+            params={"m": m},
+        )
+        _, rows = run_experiment(config)
+        assert len(rows) == len(streams) == trials
+        for row, stream in zip(rows, streams):
+            rng = Rng(row.seed)
+            expected = sum(rng.random() * k < 1.0 for k in range(1, m + 1))
+            assert row.husband_count == expected
+            assert stream._state == rng._state
+
     def test_acceptance_memory_is_flat_in_m(self):
         # An m-long table of limits at m = 2**18 alone takes about 11 MB.
         config = ExperimentConfig(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stablematch import random_model
+from stablematch.matching import stable_husbands
 from stablematch.random_model import (
     RunStats,
     audit_window_stats,
@@ -27,6 +28,7 @@ from oracles import (
     reference_state,
     reference_step,
     repeated_pairs,
+    revealed_instance,
     seed_with_draw,
     seed_with_top_draw,
     step_totals,
@@ -225,8 +227,8 @@ def test_conservation_after_every_step(n, seed, steps):
     ],
 )
 def test_stream_ends_where_the_scalar_draws_would(monkeypatch, n, seed, stop, cap):
-    # One draw per proposal plus one per fresh proposal: the block reads
-    # hand back every draw they did not use.
+    # One draw per proposal plus one per fresh proposal: the stream skips
+    # exactly the draws the kernel read, not the rest of their blocks.
     streams = _keep_streams(monkeypatch)
     _, stats = run(n, 0, seed, stop=stop, max_proposals=cap)
     fresh = stats.t - stats.redundant_proposals
@@ -310,10 +312,9 @@ def _boundary_seed(stop: str, accepted: bool) -> tuple[int, int | None]:
 
 
 class TestBlockBoundary:
-    """A fresh proposal whose acceptance draw opens a new block: the offer
-    stays pending across the block refill, so the stop rule that its
-    proposal brings into force (an exhausted proposer, or the cap) fires
-    only after that draw is read."""
+    """A fresh proposal whose acceptance draw opens a new block: the stop
+    rule that its proposal brings into force (an exhausted proposer, or
+    the cap) fires only after that draw is read."""
 
     @pytest.mark.parametrize("stop", ["natural", "cap"])
     @pytest.mark.parametrize("accepted", [False, True])
@@ -411,7 +412,7 @@ def _aimed_run(n, start, stop, block, gap):
 )
 def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track):
     # The stop falls on a block end of the kernel, or one draw past it, so
-    # that an offer is pending across the refill; `run` must still equal
+    # that an offer's acceptance draw opens the next block; `run` must equal
     # the reference replay and end the stream where the scalar draws would.
     assume(stop == "cap" or n >= 2)
     aimed = _aimed_run(n, start, stop, block, gap)
@@ -487,6 +488,28 @@ def test_entity_totals_equal_step_counts(n, seed, stop, cap):
     assert (per_girl, per_boy, runs) == step_totals(state)
     assert sum(per_girl) == sum(per_boy) == stats.t
     assert sum(runs) == len(stats.run_lengths)
+
+
+def assert_chain_is_the_search(n: int, girl: int, seed: int) -> None:
+    """A natural run equals `stable_husbands` on the instance it reveals:
+    the same husbands in the same order, one search proposal per fresh
+    proposal, and the same superseded acceptances."""
+    outputs, stats = run(n, girl, seed)
+    search = stable_husbands(revealed_instance(n, girl, seed), girl)
+    assert [b for b, _ in outputs] == search.husbands
+    assert search.proposal_count == stats.t - stats.redundant_proposals
+    assert search.pre_output_acceptances == stats.pre_output_acceptances
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_chain_is_the_search_on_the_revealed_instance(n, seed, data):
+    assert_chain_is_the_search(n, data.draw(st.integers(0, n - 1), label="girl"), seed)
+
+
+@pytest.mark.parametrize("n,seed", [(64, 1), (64, 2), (64, 3), (256, 4), (256, 5)])
+def test_chain_is_the_search_at_large_n(n, seed):
+    assert_chain_is_the_search(n, seed % n, seed)
 
 
 def test_entity_totals_require_tracking():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ REFERENCE_SEED0 = [
 def test_matches_reference_stream():
     rng = Rng(0)
     assert [rng.next_u64() for _ in range(5)] == REFERENCE_SEED0
-    assert list(Rng(0).block(5)) == REFERENCE_SEED0
+    assert list(islice(Rng(0).draws(5), 5)) == REFERENCE_SEED0
 
 
 def test_same_seed_same_stream():
@@ -76,26 +77,56 @@ def test_randrange_in_bounds(n, seed):
     assert all(0 <= rng.randrange(n) < n for _ in range(20))
 
 
+def _through_a_full_block(first: int) -> int:
+    """How many draws `Rng.draws(first)` yields up to the end of its first
+    2048-draw block, blocks of first (at least 1) doubling up to 2048."""
+    total, k = 0, max(first, 1)
+    while k < 2048:
+        total += k
+        k = min(2 * k, 2048)
+    return total + k
+
+
+def _assert_draws_equal_scalar(rng: Rng, first: int, count: int) -> list[int]:
+    """The first `count` of `rng.draws(first)` are the next `count` calls of
+    `next_u64`, and reading them leaves `rng` where it was; returns them."""
+    state = rng._state
+    scalar = Rng(state)
+    drawn = list(islice(rng.draws(first), count))
+    assert drawn == [scalar.next_u64() for _ in range(count)]
+    assert rng._state == state
+    return drawn
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 320), st.integers(0, 2**64 - 1))
-def test_block_equals_scalar_draws(k, seed):
-    a, b = Rng(seed), Rng(seed)
-    assert list(a.block(k)) == [b.next_u64() for _ in range(k)]
-    assert a._state == b._state
+@given(st.integers(1, 320), st.integers(0, 2**64 - 1), st.data())
+def test_block_equals_scalar_draws(first, seed, data):
+    # Past the doubling, through the first whole 2048-draw block and one
+    # draw into the next; then skip(j) leaves draw j next.
+    count = _through_a_full_block(first) + 1
+    rng = Rng(seed)
+    drawn = _assert_draws_equal_scalar(rng, first, count)
+    j = data.draw(st.integers(0, count - 1), label="j")
+    rng.skip(j)
+    assert rng.next_u64() == drawn[j]
 
 
 @pytest.mark.parametrize("k", [0, 1, 8, 2048, 2049])
 def test_block_at_run_sizes(k):
-    # The chain reads blocks of 8 doubling to 2048; its first buffer is empty.
-    a, b = Rng(2**64 - 1), Rng(2**64 - 1)
-    assert list(a.block(k)) == [b.next_u64() for _ in range(k)]
-    assert a._state == b._state
+    # The chain's first block holds 8·n draws, up to 2048; a first of 0
+    # counts as 1, and one above 2048 is followed by blocks of 2048. From
+    # the top seed the first draw's counter wraps around to 0.
+    rng = Rng(2**64 - 1)
+    _assert_draws_equal_scalar(rng, k, max(k, 1) + min(2 * max(k, 1), 2048) + 1)
 
 
-def test_unread_round_trip():
+def test_skip_round_trip():
     rng = Rng(99)
-    first = list(rng.block(40))
-    rng.unread(15)
+    first = list(islice(rng.draws(40), 40))
+    assert rng.next_u64() == first[0]
+    rng.skip(24)
     assert [rng.next_u64() for _ in range(15)] == first[25:]
-    rng.unread(40)
-    assert list(rng.block(40)) == first
+    # The stream's period is 2**64 draws, so skipping all but 40 of them
+    # comes back to the start.
+    rng.skip(2**64 - 40)
+    assert list(islice(rng.draws(40), 40)) == first
