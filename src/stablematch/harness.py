@@ -45,9 +45,9 @@ from typing import Callable, NamedTuple
 from . import bounds as _bounds
 from .instance import generate_uniform
 from .matching import stable_husbands
-from .random_model import _acceptance_limit, audit_window, audit_window_stats
+from .random_model import audit_window, audit_window_stats
 from .random_model import run as run_process
-from .rng import Rng, derive_seed, mix64
+from .rng import Rng, coin_limit, derive_seed, derive_seeds
 
 class ConfigError(ValueError):
     """The experiment configuration is invalid; nothing was run."""
@@ -376,12 +376,6 @@ def _seed_prefix(config: ExperimentConfig, n: int, stream: int = 0) -> int:
     return derive_seed(config.master_seed, _KIND_IDS[config.kind], n, stream)
 
 
-def _trial_seeds(prefix: int, start: int, stop: int):
-    """The seeds of trials start..stop-1 of a stream: each adds the trial's
-    fold to the stream's prefix, which completes derive_seed's path."""
-    return (mix64(prefix ^ mix64(trial)) for trial in range(start, stop))
-
-
 def _run_range(task: tuple) -> tuple[TrialRows, list]:
     """One pool task: trials start..stop-1 of one stream, with their seeds
     folded here from the stream's prefix, and row indices shifted by the
@@ -393,7 +387,7 @@ def _run_range(task: tuple) -> tuple[TrialRows, list]:
     add = rows.add
     extras = []
     clock = time.perf_counter_ns
-    for i, seed in enumerate(_trial_seeds(prefix, start, stop), start + offset):
+    for i, seed in enumerate(derive_seeds(prefix, start, stop), start + offset):
         begin = clock()
         count, record, extra = trial(seed, *fixed)
         elapsed = (clock() - begin) // 1000
@@ -567,15 +561,15 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, Trial
     # before any trial.
     h_m = _bounds.harmonic(m)
     trials = config.trials
-    seeds = list(_trial_seeds(_seed_prefix(config, n), 0, trials))
+    seeds = list(derive_seeds(_seed_prefix(config, n), 0, trials))
     rngs = list(map(Rng, seeds))
     counts = [0] * trials
     elapsed_ns = [0] * trials
     # Chunk by chunk, every trial's stream reads one block of draws against
-    # the chunk's limits and skips it, so memory stays flat in m. Chunks of
-    # at most 2048 draws keep the block constants small at any m.
+    # the chunk's coin limits and skips it. Chunks of at most 2048 offers,
+    # the largest block `Rng.draws` computes, keep memory flat in m.
     for lo in range(1, m + 1, 2048):
-        limits = list(map(_acceptance_limit, range(lo, min(lo + 2048, m + 1))))
+        limits = list(map(coin_limit, range(lo, min(lo + 2048, m + 1))))
         for i, rng in enumerate(rngs):
             start = time.perf_counter_ns()
             counts[i] += sum(map(gt, limits, rng.draws(len(limits))))

@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .rng import Rng
+from .rng import Rng, index_limit
 
 Prefs = tuple[tuple[int, ...], ...]
 
@@ -86,18 +86,18 @@ def generate_uniform(n: int, seed: int) -> PreferenceInstance:
 
     Deterministic in (n, seed); rows come from one seeded stream via an
     unbiased Fisher-Yates shuffle, girls' rows first. Each swap takes the
-    draw `Rng.randrange(i + 1)` would, rejection rule included, read from
-    one pass over `Rng.draws`, whose first block holds the 2n(n - 1) draws
-    due without rejection, at most 2048; the stream then skips the draws
-    read, so it ends where the scalar shuffle leaves it.
+    draw `Rng.randrange(i + 1)` would, redrawing at or above
+    `index_limit(i + 1)`, read from one pass over `Rng.draws`, sized for
+    the 2n(n - 1) draws due without rejection; the stream then skips the
+    draws read, so it ends where the scalar shuffle leaves it.
     """
     if n < 1:
         raise ValueError("instance size must be at least 1")
     rng = Rng(seed)
-    # (slot i, modulus i + 1, randrange's rejection limit) of each swap.
-    swaps = [(i, i + 1, 2**64 - 2**64 % (i + 1)) for i in range(n - 1, 0, -1)]
+    # (slot i, modulus i + 1, its rejection limit) of each swap.
+    swaps = [(i, i + 1, index_limit(i + 1)) for i in range(n - 1, 0, -1)]
     due = 2 * n * (n - 1)
-    draws = rng.draws(min(due, 2048))
+    draws = rng.draws(due)
     rejected = 0
     rows = []
     for _ in range(2 * n):

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 
-from .rng import Rng
+from .rng import Rng, coin_limits, index_limit
 
 
 @dataclass
@@ -87,24 +86,6 @@ def new_state(n: int, girl: int, track: bool = True) -> RunStats:
     )
 
 
-def _acceptance_limit(k: int) -> int:
-    """The draw bound for offer k: a 64-bit draw u accepts offer k exactly
-    when u < _acceptance_limit(k).
-
-    That is the chain's rule, (u >> 11) * 2.0**-53 * k < 1.0. Below 1 the
-    product is an integer under 2**53 times 2**-53, so no rounding occurs
-    and the rule holds exactly when (u >> 11) * k < 2**53.
-    """
-    return -(-(2**53) // k) << 11
-
-
-@lru_cache(maxsize=16)
-def _acceptance_limits(n: int) -> tuple[int, ...]:
-    """_acceptance_limit(k) at index k, for every offer count k a girl of an
-    n x n chain can reach (index 0 is unused)."""
-    return (0, *map(_acceptance_limit, range(1, n + 1)))
-
-
 def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     """Run the chain from a fresh state until the stop rule fires and fill
     in `stats`, the empty record of `new_state`: the chain's loop, behind
@@ -119,13 +100,13 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     count - ntried[p]; best_offer[j] is the boy holding girl j's best offer
     (None before her first fresh proposal), no longer kept for the
     designated girl after the first output.
-    Draws are read in one pass over `Rng.draws`, with `randrange`'s
-    rejection rule and `random`'s float (as the integer bound
-    `_acceptance_limit`), so each is the draw those calls would take; a
-    fresh proposal takes its acceptance draw from the same iterator at
-    once, so no offer is ever pending. At the stop the stream skips the
-    draws read: one per proposal, one per fresh proposal and one per
-    draw the rejection rule refused.
+    Draws are read in one pass over `Rng.draws`: a girl index below
+    `index_limit(n)` and an offer-k acceptance below `coin_limit(k)`, the
+    rules of `randrange` and `random`, so each is the draw those calls
+    would take; a fresh proposal takes its acceptance draw from the same
+    iterator at once, so no offer is ever pending. At the stop the stream
+    skips the draws read: one per proposal, one per fresh proposal and one
+    per draw the rejection rule refused.
 
     The stop rule is tested only where it can newly hold: the cap after a
     redundant proposal; natural or cap after a rejected offer; all three
@@ -151,16 +132,14 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     run_lengths = stats.run_lengths
     pair_counts = stats.pair_counts
     outputs = stats.outputs
-    accept = _acceptance_limits(n)
-    # Rng.randrange's rejection limit: draws at or above it are redrawn.
-    limit = 2**64 - 2**64 % n
+    accept = coin_limits(n)
+    limit = index_limit(n)
     # Past any reachable proposal count, so the cap check needs no None test.
     if cap is None:
         cap = 2**64
-    # The first block is sized from n (a natural run at n = 3 reads about
-    # 17 draws) and from the cap (so a short capped run computes no more
-    # than it can read); blocks then double up to 2048.
-    draws = rng.draws(min(8 * n, 8 * cap, 2048))
+    # The first block: a natural run at n = 3 reads about 17 draws, and a
+    # capped run about 2 a proposal.
+    draws = rng.draws(8 * min(n, cap))
 
     t = 0
     p = 0

@@ -49,6 +49,32 @@ def derive_seed(master: int, *path: int) -> int:
     return s
 
 
+def derive_seeds(prefix: int, start: int, stop: int) -> Iterator[int]:
+    """derive_seed(master, *path, i) for i = start..stop-1, where prefix is
+    derive_seed(master, *path): each adds the last index's fold to it."""
+    return (mix64(prefix ^ mix64(i)) for i in range(start, stop))
+
+
+def index_limit(m: int) -> int:
+    """The rejection bound of a uniform index below m: a draw u is kept, as
+    index u % m, exactly when u < index_limit(m), as in `Rng.randrange`."""
+    return 2**64 - 2**64 % m
+
+
+def coin_limit(k: int) -> int:
+    """The bound of a 1/k coin: a draw u comes up heads exactly when
+    u < coin_limit(k), that is when `Rng.random`'s (u >> 11) * 2.0**-53 * k
+    < 1.0. Below 1 that product is an integer under 2**53 times 2**-53, so
+    it is exact, and the rule holds when (u >> 11) * k < 2**53."""
+    return -(-(2**53) // k) << 11
+
+
+@lru_cache(maxsize=16)
+def coin_limits(n: int) -> tuple[int, ...]:
+    """coin_limit(k) at index k, for k = 1..n (index 0 is unused)."""
+    return (0, *map(coin_limit, range(1, n + 1)))
+
+
 @lru_cache(maxsize=16)
 def _lanes(k: int) -> tuple[int, int, int]:
     """Per-lane constants for a k-lane block, lane i at bit 128*i: a 1 in
@@ -59,9 +85,10 @@ def _lanes(k: int) -> tuple[int, int, int]:
 
 
 def _blocks(state: int, k: int) -> Iterator[list[int]]:
-    """The outputs that follow counter `state`, as a list of k draws, then
-    lists twice as long each time, up to 2048 a list."""
+    """The outputs that follow counter `state`, as a list of k draws (k
+    clamped to 1..2048), then lists twice as long each time, up to 2048."""
     while True:
+        k = k if 0 < k <= 2048 else 1 if k < 1 else 2048
         ones, mask, steps = _lanes(k)
         z = (state * ones + steps) & mask
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
@@ -74,7 +101,7 @@ def _blocks(state: int, k: int) -> Iterator[list[int]]:
             words.byteswap()
         yield words[::2].tolist()
         state = (state + k * _GOLDEN) & _MASK64
-        k = min(k + k, 2048)
+        k += k
 
 
 class Rng:
@@ -97,10 +124,10 @@ class Rng:
         end; the stream itself does not move, so a reader that takes j of
         them then calls `skip(j)`.
 
-        They are computed in blocks, lazily: the first of `first` draws (1
-        when first is 0), each next one twice the last, up to 2048.
+        Computed lazily in blocks: first `first` draws, the number a reader
+        expects to read, clamped to 1..2048; then each block doubles, to 2048.
         """
-        return chain.from_iterable(_blocks(self._state, first or 1))
+        return chain.from_iterable(_blocks(self._state, first))
 
     def skip(self, k: int) -> None:
         """Move the stream forward by k draws."""

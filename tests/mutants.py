@@ -119,6 +119,30 @@ MUTANTS = [
         ("tests/test_instance.py::TestBlockDraws::test_forced_rejection",),
     ),
     Mutant(
+        "a uniform index's rejection bound one less",
+        RNG,
+        "    return 2**64 - 2**64 % m\n",
+        "    return 2**64 - 2**64 % m - 1\n",
+        ("tests/test_rng.py::test_index_limit_is_the_randrange_rule",),
+    ),
+    Mutant(
+        "a 1/k coin's bound rounded down instead of up",
+        RNG,
+        "    return -(-(2**53) // k) << 11\n",
+        "    return 2**53 // k << 11\n",
+        (
+            "tests/test_harness.py::TestOtherKinds"
+            "::test_acceptance_limits_are_the_float_rule",
+        ),
+    ),
+    Mutant(
+        "blocks of draws grow past 2048",
+        RNG,
+        "        k = k if 0 < k <= 2048 else 1 if k < 1 else 2048\n",
+        "        k = k if 0 < k else 1\n",
+        ("tests/test_rng.py::test_block_at_run_sizes",),
+    ),
+    Mutant(
         "skip moves the stream one draw short",
         RNG,
         "        self._state = (self._state + k * _GOLDEN) & _MASK64\n",
@@ -277,10 +301,11 @@ MUTANTS = [
     ),
     Mutant(
         "trial index folded into the seed without its own mix",
-        HARNESS,
-        "mix64(prefix ^ mix64(trial))",
-        "mix64(prefix ^ trial)",
+        RNG,
+        "mix64(prefix ^ mix64(i))",
+        "mix64(prefix ^ i)",
         (
+            "tests/test_rng.py::test_derive_seeds_complete_the_path",
             "tests/test_harness.py::test_trial_seeds_are_the_full_path",
             "tests/test_harness.py::test_trial_seed_derivation_is_arithmetic",
         ),

@@ -12,7 +12,7 @@ read its tried rows.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -522,39 +522,96 @@ def reference_run(
             return "first_output"
 
 
-def revealed_instance(n: int, girl: int, seed: int) -> PreferenceInstance:
+def revealed_instance(n: int, girl: int, seed: int, fill_seed: int) -> PreferenceInstance:
     """The instance that a natural run of the chain at (n, girl, seed)
-    reveals: on it the stable-husband search makes the chain's fresh
-    proposals, in the chain's order, with the chain's decisions.
+    reveals, completed at random from a second stream, `Rng(fill_seed)`: on
+    it the stable-husband search makes the chain's fresh proposals, in the
+    chain's order, with the chain's decisions.
 
     It replays `reference_step` from a fresh state to the natural stop.
     Each boy's list is his fresh proposals in order, then the girls he
-    never tried, ascending. Each girl's list puts every proposer she
-    accepted in front, the latest first, so each accepted offer beats all
-    before it; every proposer she rejected is appended, below the offer
-    she held; then come the boys who never proposed to her, ascending.
+    never tried, in uniform order. Each girl's list grows with her offers:
+    a proposer she accepts goes first, above every offer before his, and
+    one she rejects at a uniform place below the offer she held; then each
+    boy who never proposed to her goes in at a uniform place. Given the
+    run, that completion is uniform over the instances on which the search
+    makes the run's proposals and decisions, so a chain with the search's
+    law reveals a uniform instance.
     """
     state = reference_state(n, girl, track=False)
-    rng = Rng(seed)
+    rng, fill = Rng(seed), Rng(fill_seed)
     boy_rows: list[list[int]] = [[] for _ in range(n)]
-    accepted: list[list[int]] = [[] for _ in range(n)]
-    rejected: list[list[int]] = [[] for _ in range(n)]
+    girl_rows: list[list[int]] = [[] for _ in range(n)]
     while state.ntried[state.proposer] < n:
         event = reference_step(state, rng)
         if event.redundant:
             continue
         boy_rows[event.proposer].append(event.girl)
-        if event.accepted:
-            accepted[event.girl].insert(0, event.proposer)
-        else:
-            rejected[event.girl].append(event.proposer)
+        row = girl_rows[event.girl]
+        # Her first offer is always accepted, so a rejected one finds the
+        # offer she holds at place 0 and goes anywhere from place 1 on.
+        place = 0 if event.accepted else 1 + fill.randrange(len(row))
+        row.insert(place, event.proposer)
     for row in boy_rows:
-        row += sorted(set(range(n)) - set(row))
-    girl_rows = []
-    for j in range(n):
-        row = accepted[j] + rejected[j]
-        girl_rows.append(row + sorted(set(range(n)) - set(row)))
+        untried = [j for j in range(n) if j not in row]
+        reference_shuffle(untried, fill)
+        row += untried
+    for row in girl_rows:
+        for b in range(n):
+            if b not in row:
+                row.insert(fill.randrange(len(row) + 1), b)
     return PreferenceInstance.from_prefs(girl_rows, boy_rows)
+
+
+def exact_husband_law(n: int) -> tuple[dict[int, Fraction], int]:
+    """The exact law of girl 0's number of stable husbands in a uniform
+    n x n instance, {count: probability}, and the number of chain states
+    the pass visits.
+
+    A forward pass over the reachable states of the memoryful chain
+    (`reference_step` with amnesia off), whose husbands have the search's
+    law: each proposal goes to a girl uniform among those the proposer has
+    not tried, and her k-th offer, k one more than the boys who have tried
+    her, is accepted with probability 1/k. Each proposal adds one girl to
+    one boy's tried set, so the states fall into layers by the number of
+    proposals made, and a layer's probabilities are final once the layer
+    before it has been spread. A state holds each boy's tried set as a
+    bitmask, each girl's held offer (None before her first), the proposer,
+    the number of boys introduced and the husbands emitted so far, whose
+    being nonzero is the post-output phase. A state whose proposer has
+    tried every girl is the natural stop, and its count is final.
+    """
+    everyone = (1 << n) - 1
+    law: defaultdict[int, Fraction] = defaultdict(Fraction)
+    layer = {((0,) * n, (None,) * n, 0, 1, 0): Fraction(1)}
+    states = 0
+    while layer:
+        states += len(layer)
+        after: defaultdict[tuple, Fraction] = defaultdict(Fraction)
+        for (tried, held, p, introduced, count), mass in layer.items():
+            if tried[p] == everyone:
+                law[count] += mass
+                continue
+            untried = [h for h in range(n) if not tried[p] >> h & 1]
+            for h in untried:
+                k = 1 + sum(row >> h & 1 for row in tried)
+                step = mass / len(untried)
+                now = (*tried[:p], tried[p] | 1 << h, *tried[p + 1 :])
+                if k > 1:
+                    after[now, held, p, introduced, count] += step * (k - 1) / k
+                previous = held[h]
+                held_now = (*held[:h], p, *held[h + 1 :])
+                if previous is None and introduced < n:
+                    nxt = (introduced, introduced + 1, count)
+                elif previous is None:
+                    nxt = (held_now[0], introduced, count + 1)
+                elif h == 0 and count:
+                    nxt = (p, introduced, count + 1)
+                else:
+                    nxt = (previous, introduced, count)
+                after[(now, held_now, *nxt)] += step / k
+        layer = after
+    return dict(law), states
 
 
 def reference_shuffle(items: list, rng: Rng) -> None:

@@ -52,7 +52,6 @@ from stablematch.bounds import (
 from stablematch.harness import (
     ExperimentConfig,
     _seed_prefix,
-    _trial_seeds,
     report_json,
     run_experiment,
 )
@@ -65,7 +64,7 @@ from stablematch.matching import (
 from stablematch.oracle import enumerate_stable
 from stablematch.random_model import audit_window_stats, entity_totals
 from stablematch.random_model import run as run_process
-from stablematch.rng import derive_seed
+from stablematch.rng import derive_seed, derive_seeds
 
 from oracles import (
     HUSBAND_LAW_N3,
@@ -375,7 +374,7 @@ def test_criterion_6_husband_count_envelope(theorem_run):
         kind="theorem", n=1024, trials=block["trials"], master_seed=MASTER_SEED
     )
     prefix = _seed_prefix(campaign, 1024)
-    campaign_seeds = set(_trial_seeds(prefix, 0, block["trials"]))
+    campaign_seeds = set(derive_seeds(prefix, 0, block["trials"]))
     assert campaign_seeds.isdisjoint(
         derive_seed(*ENVELOPE_REF_SEED_PATH, i) for i in range(ENVELOPE_REF_TRIALS)
     )

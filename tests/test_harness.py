@@ -36,8 +36,7 @@ from stablematch.harness import (
 )
 from stablematch.instance import generate_uniform
 from stablematch.oracle import enumerate_stable
-from stablematch.random_model import _acceptance_limit
-from stablematch.rng import Rng, derive_seed
+from stablematch.rng import Rng, coin_limit, derive_seed
 
 from collections import Counter
 
@@ -278,13 +277,13 @@ class TestOtherKinds:
         assert len(rows) == 400
 
     def test_acceptance_limits_are_the_float_rule(self):
-        # Below each limit the chain's float rule accepts, at it the rule
-        # rejects; the rule is monotone in u, so that pins every draw.
+        # Below each coin limit `Rng.random`'s float rule accepts, at it the
+        # rule rejects; the rule is monotone in u, so that pins every draw.
         def accepts(u, k):
             return (u >> 11) * 2.0**-53 * k < 1.0
 
         for k in [*range(1, 3000), 2**20 + 1, 10**6 - 1, 2**53 - 1]:
-            limit = _acceptance_limit(k)
+            limit = coin_limit(k)
             assert limit > 0 and accepts(limit - 1, k)
             assert limit == 2**64 or not accepts(limit, k)
 
@@ -488,7 +487,8 @@ def test_trial_seed_derivation_is_arithmetic():
 )
 def test_trial_seeds_are_the_full_path(kind, master, n, stream, start, size):
     # The prefix (master, kind, n, stream) is folded once per block; a
-    # worker adds each trial's fold, which must give derive_seed's full path.
+    # worker adds each trial's fold with derive_seeds, which must give
+    # derive_seed's full path.
     config = ExperimentConfig(kind=kind, n=n, trials=1, master_seed=master)
     kind_id = KINDS.index(kind) + 1
     prefix = _seed_prefix(config, n, stream)

@@ -12,7 +12,13 @@ from stablematch.instance import PreferenceInstance, fixture_4x4
 from stablematch.matching import find_blocking_pairs
 from stablematch.oracle import OracleScaleError, enumerate_stable
 
-from oracles import HUSBAND_LAW_N3, coupon_cdf, husband_set, worst_husband
+from oracles import (
+    HUSBAND_LAW_N3,
+    coupon_cdf,
+    exact_husband_law,
+    husband_set,
+    worst_husband,
+)
 
 A, B, C, D = range(4)
 W, X, Y, Z = range(4)
@@ -104,6 +110,25 @@ def test_exact_husband_law_n3():
     total = sum(counts.values())
     assert total == 6**5
     assert {k: Fraction(v, total) for k, v in counts.items()} == HUSBAND_LAW_N3
+
+
+@pytest.mark.parametrize("n,states", [(1, 2), (2, 21), (3, 1462)])
+def test_forward_pass_gives_the_exact_law(n, states):
+    # Below n = 3 every instance is enumerated; at n = 3 the law is
+    # HUSBAND_LAW_N3, which the test above recomputes. The pass's state
+    # count is pinned too: a change to the chain's definition moves it.
+    if n == 3:
+        expected = HUSBAND_LAW_N3
+    else:
+        rows = list(itertools.permutations(range(n)))
+        tables = list(itertools.product(rows, repeat=n))
+        counts = Counter(
+            len(enumerate_stable(PreferenceInstance.from_prefs(g, b)).husband_sets[0])
+            for g in tables
+            for b in tables
+        )
+        expected = {k: Fraction(v, len(tables) ** 2) for k, v in counts.items()}
+    assert exact_husband_law(n) == (expected, states)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])

@@ -16,9 +16,10 @@ from stablematch.random_model import (
     new_state,
     run,
 )
-from stablematch.rng import Rng, derive_seed
+from stablematch.rng import Rng, coin_limit, derive_seed
 
 from oracles import (
+    chi_square,
     clone_state,
     coupon_cdf,
     full_pair_counts,
@@ -336,11 +337,11 @@ class TestBlockBoundary:
 
 @pytest.mark.parametrize("n,k,j", [(3, 2, 5), (8, 2, 7), (8, 3, 53), (64, 2, 42)])
 def test_acceptance_draw_on_the_limit_is_a_rejection(monkeypatch, n, k, j):
-    # Draw j of the seed is exactly _acceptance_limit(k), and the replay
+    # Draw j of the seed is exactly coin_limit(k), and the replay
     # reads it as the acceptance draw of an offer k, which `random`'s
     # float rejects: (u >> 11) * 2**-53 * k is then at least 1.0, and a
     # draw 2**11 lower would be accepted.
-    limit = random_model._acceptance_limit(k)
+    limit = coin_limit(k)
     seed = seed_with_draw(j, limit)
     probe = Rng(seed)
     assert [probe.next_u64() for _ in range(j + 1)][-1] == limit
@@ -490,26 +491,50 @@ def test_entity_totals_equal_step_counts(n, seed, stop, cap):
     assert sum(runs) == len(stats.run_lengths)
 
 
-def assert_chain_is_the_search(n: int, girl: int, seed: int) -> None:
-    """A natural run equals `stable_husbands` on the instance it reveals:
-    the same husbands in the same order, one search proposal per fresh
-    proposal, and the same superseded acceptances."""
+def assert_chain_is_the_search(n: int, girl: int, seed: int, fill_seed: int) -> None:
+    """A natural run equals `stable_husbands` on the instance it reveals,
+    however that is completed: the same husbands in the same order, one
+    search proposal per fresh proposal, and the same superseded
+    acceptances."""
     outputs, stats = run(n, girl, seed)
-    search = stable_husbands(revealed_instance(n, girl, seed), girl)
+    search = stable_husbands(revealed_instance(n, girl, seed, fill_seed), girl)
     assert [b for b, _ in outputs] == search.husbands
     assert search.proposal_count == stats.t - stats.redundant_proposals
     assert search.pre_output_acceptances == stats.pre_output_acceptances
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 8), seed=st.integers(0, 2**64 - 1), data=st.data())
-def test_chain_is_the_search_on_the_revealed_instance(n, seed, data):
-    assert_chain_is_the_search(n, data.draw(st.integers(0, n - 1), label="girl"), seed)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+    fill_seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_chain_is_the_search_on_the_revealed_instance(n, seed, fill_seed, data):
+    girl = data.draw(st.integers(0, n - 1), label="girl")
+    assert_chain_is_the_search(n, girl, seed, fill_seed)
 
 
 @pytest.mark.parametrize("n,seed", [(64, 1), (64, 2), (64, 3), (256, 4), (256, 5)])
 def test_chain_is_the_search_at_large_n(n, seed):
-    assert_chain_is_the_search(n, seed % n, seed)
+    assert_chain_is_the_search(n, seed % n, seed, seed + 1)
+
+
+def test_revealed_instance_is_uniform_at_n2():
+    # A chain with the search's law, completed uniformly, reveals each of
+    # the 16 instances at n = 2 (four rows of two orders each) with
+    # probability 1/16. Fixed before sampling: 16,000 runs, chain and fill
+    # seeds from master seed 1992, and the chi-square statistic against
+    # its 0.1% critical value with 15 degrees of freedom, 37.70.
+    runs = 16_000
+    counts = Counter(
+        dataclasses.astuple(
+            revealed_instance(2, 0, derive_seed(1992, i, 0), derive_seed(1992, i, 1))
+        )
+        for i in range(runs)
+    )
+    assert len(counts) == 16
+    assert chi_square(list(counts.values()), [runs / 16] * 16) <= 37.70
 
 
 def test_entity_totals_require_tracking():

@@ -6,9 +6,10 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablematch.rng import Rng, derive_seed, mix64
+from stablematch import rng as rng_mod
+from stablematch.rng import Rng, derive_seed, derive_seeds, index_limit, mix64
 
-from oracles import reference_shuffle
+from oracles import reference_shuffle, seed_with_draw
 
 # First five outputs of the reference SplitMix64 implementation for seed 0,
 # as published with the original C code.
@@ -38,6 +39,19 @@ def test_derive_seed_distinct_streams():
     assert derive_seed(42, 3, 7) != derive_seed(42, 7, 3)
 
 
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**64 - 1), max_size=3),
+    st.integers(0, 2**20),
+    st.integers(0, 20),
+)
+def test_derive_seeds_complete_the_path(master, path, start, size):
+    prefix = derive_seed(master, *path)
+    assert list(derive_seeds(prefix, start, start + size)) == [
+        derive_seed(master, *path, i) for i in range(start, start + size)
+    ]
+
+
 def test_mix64_nonzero_on_zero():
     assert mix64(0) != 0
 
@@ -62,6 +76,25 @@ def test_randrange_uniformity_chi_square():
     expected = 10_000.0
     chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(6))
     assert chi2 < 20.515, f"chi-square {chi2}"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 1000, 1024, 2**32 + 1, 2**63 + 1])
+def test_index_limit_is_the_randrange_rule(m):
+    # A first draw of index_limit(m) - 1 is kept as randrange(m)'s index;
+    # one of index_limit(m), where that is below 2**64, is redrawn, so the
+    # call returns what the stream's next draw gives it.
+    limit = index_limit(m)
+    seed = seed_with_draw(0, limit - 1)
+    rng, next_draw = Rng(seed), Rng(seed)
+    next_draw.skip(1)
+    assert rng.randrange(m) == (limit - 1) % m
+    assert rng._state == next_draw._state
+    if limit < 2**64:
+        seed = seed_with_draw(0, limit)
+        rng, next_draw = Rng(seed), Rng(seed)
+        next_draw.skip(1)
+        assert rng.randrange(m) == next_draw.randrange(m)
+        assert rng._state == next_draw._state
 
 
 @given(st.lists(st.integers(), max_size=40), st.integers(0, 2**64 - 1))
@@ -111,13 +144,18 @@ def test_block_equals_scalar_draws(first, seed, data):
     assert rng.next_u64() == drawn[j]
 
 
-@pytest.mark.parametrize("k", [0, 1, 8, 2048, 2049])
-def test_block_at_run_sizes(k):
-    # The chain's first block holds 8·n draws, up to 2048; a first of 0
-    # counts as 1, and one above 2048 is followed by blocks of 2048. From
-    # the top seed the first draw's counter wraps around to 0.
+@pytest.mark.parametrize("k", [0, 1, 8, 2048, 2049, 5000])
+def test_block_at_run_sizes(monkeypatch, k):
+    # The chain's first block holds 8·n draws; `draws` clamps a first block
+    # to 1..2048 and caps the blocks after it at 2048. From the top seed the
+    # first draw's counter wraps around to 0.
+    sizes = []
+    lanes = rng_mod._lanes
+    monkeypatch.setattr(rng_mod, "_lanes", lambda k: sizes.append(k) or lanes(k))
+    first = min(max(k, 1), 2048)
     rng = Rng(2**64 - 1)
-    _assert_draws_equal_scalar(rng, k, max(k, 1) + min(2 * max(k, 1), 2048) + 1)
+    _assert_draws_equal_scalar(rng, k, first + min(2 * first, 2048) + 1)
+    assert sizes == [first, min(2 * first, 2048), min(4 * first, 2048)]
 
 
 def test_skip_round_trip():
