@@ -194,8 +194,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         config.workers = args.workers
     if args.out is not None:
         config.out_dir = args.out
-    if args.plot_data:
-        config.plot_data = True
     report, rows = run_experiment(config)
     write_outputs(config, report, rows)
     _emit(report)
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="KEY=JSON")
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
-    p.add_argument("--plot-data", dest="plot_data", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -34,7 +34,7 @@ import os
 import time
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import islice
@@ -59,7 +59,7 @@ class ExperimentConfig:
 
     params carries the kind-specific constants (c, C, delta, eps, m); gate
     optionally names report fields that must hold for a zero exit status.
-    workers, out_dir and plot_data affect execution only, never results.
+    workers and out_dir affect execution only, never results.
     """
 
     kind: str
@@ -72,7 +72,6 @@ class ExperimentConfig:
     gate: dict | None = None
     workers: int = 1
     out_dir: str | None = None
-    plot_data: bool = False
 
     @property
     def sizes(self) -> list[int]:
@@ -147,10 +146,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"workers must be a positive integer, got {config.workers!r}")
     if config.out_dir is not None and not isinstance(config.out_dir, (str, Path)):
         raise ConfigError(f"out_dir must be a path string, got {config.out_dir!r}")
-    if not isinstance(config.plot_data, bool):
-        raise ConfigError(f"plot_data must be true or false, got {config.plot_data!r}")
-    if config.plot_data and spec.plot is None:
-        raise ConfigError(f"plot_data is not available for kind {config.kind!r}")
     _validate_gate(config.kind, spec, config.gate)
     _check_keys("params", config.kind, config.params, tuple(spec.params))
     for key, value in config.params.items():
@@ -231,12 +226,12 @@ class TrialResult(NamedTuple):
 _NO_OUTPUT = -1
 
 
-class TrialRows(Sequence):
+class TrialRows:
     """Trial rows as one typed array per TrialResult field, in field order:
     'Q' for the u64 seed, 'q' for the rest. A campaign holds no Python
     object per row, and a worker sends a range's rows as six arrays. A row
-    is written by `add`; an index gives a TrialResult, a slice gives
-    TrialRows."""
+    is written by `add`; rows are read back by iteration, as TrialResult,
+    or one field at a time by `column`."""
 
     __slots__ = ("_columns",)
 
@@ -260,24 +255,17 @@ class TrialRows(Sequence):
         for mine, theirs in zip(self._columns, rows._columns):
             mine.extend(theirs)
 
-    def column(self, name: str) -> list:
-        """One field of every row, in row order; None where a row has no
-        first output."""
-        values = self._columns[TrialResult._fields.index(name)].tolist()
+    def column(self, name: str) -> array | list:
+        """One field of every row, in row order: the field's own array, not
+        a copy, but for first_output_time a list with None where a row has
+        no first output."""
+        values = self._columns[TrialResult._fields.index(name)]
         if name == "first_output_time":
             return [None if t == _NO_OUTPUT else t for t in values]
         return values
 
     def __len__(self) -> int:
         return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            part = TrialRows()
-            for mine, theirs in zip(part._columns, self._columns):
-                mine.extend(theirs[index])
-            return part
-        return _result(column[index] for column in self._columns)
 
     def __iter__(self):
         return map(_result, zip(*self._columns))
@@ -349,19 +337,15 @@ def _enumeration_trial(seed: int, n: int, girl: int):
     return len(enum.husbands), enum, None
 
 
-def _process_trial(seed: int, n: int, girl: int):
-    """Method b: the randomized proposal process, run to its natural stop."""
-    outputs, stats = run_process(n, girl, seed, stop="natural", track=False)
+def _process_trial(seed: int, n: int, girl: int, stop: str = "natural"):
+    """Method b: the randomized proposal process, run to its natural stop;
+    the coupon block passes the first-output stop."""
+    outputs, stats = run_process(n, girl, seed, stop=stop, track=False)
     return len(outputs), stats, None
 
 
 # The husband-count samplers by method name.
 METHODS: dict[str, Callable] = {"a": _enumeration_trial, "b": _process_trial}
-
-
-def _coupon_trial(seed: int, n: int, girl: int):
-    outputs, stats = run_process(n, girl, seed, stop="first_output", track=False)
-    return len(outputs), stats, None
 
 
 def _audit_trial(seed: int, n: int, girl: int, delta: float, cap: int):
@@ -447,9 +431,9 @@ def _collect(parts) -> tuple[TrialRows, list]:
     return rows, extras
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[dict, Sequence[TrialResult]]:
-    """Execute the experiment; returns (report, trial rows), the rows as a
-    sequence of TrialResult.
+def run_experiment(config: ExperimentConfig) -> tuple[dict, TrialRows]:
+    """Execute the experiment; returns (report, trial rows), the rows read
+    by `len`, by iteration as TrialResult, or by `column`.
 
     The report is a plain JSON-ready dictionary determined entirely by the
     logical configuration. Trial rows carry per-trial timings and are only
@@ -506,7 +490,7 @@ def _run_equivalence_block(config: ExperimentConfig, n: int) -> tuple[dict, Tria
         (METHODS["b"], (n, config.girl), _seed_prefix(config, n, 1), config.trials),
     ]
     results, _ = _map_trials(streams, config.trials, config.workers)
-    counts = results._columns[TrialResult._fields.index("husband_count")]
+    counts = results.column("husband_count")
     counts_a = Counter(islice(counts, config.trials))
     counts_b = Counter(islice(counts, config.trials, None))
     block = {
@@ -602,7 +586,8 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, Trial
 
 
 def _run_coupon_block(config: ExperimentConfig, n: int) -> tuple[dict, TrialRows]:
-    stream = (_coupon_trial, (n, config.girl), _seed_prefix(config, n), 0)
+    fixed = (n, config.girl, "first_output")
+    stream = (_process_trial, fixed, _seed_prefix(config, n), 0)
     results, _ = _map_trials([stream], config.trials, config.workers)
     times = results.column("first_output_time")
     window = _bounds.first_output_window(n)
@@ -664,7 +649,8 @@ class _Gate:
 class _Kind:
     """An experiment kind: its block runner, the parameters it reads with
     their defaults (None where the config must give one), its gates, and
-    the block's histogram that plot_data writes (None: the kind has none)."""
+    the block's histogram that write_outputs writes (None: the kind has
+    none)."""
 
     run_block: Callable[[ExperimentConfig, int], tuple[dict, TrialRows]]
     params: dict
@@ -742,33 +728,33 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def write_outputs(
-    config: ExperimentConfig, report: dict, rows: Sequence[TrialResult]
-) -> list[Path]:
-    """Write report.json, trials CSV, and optional plot TSV under out_dir."""
+def write_outputs(config: ExperimentConfig, report: dict, rows: TrialRows) -> list[Path]:
+    """Write report.json under out_dir, and for each size its trials CSV
+    and, unless the kind has no histogram, its histogram TSV of (value,
+    frequency)."""
     if config.out_dir is None:
         return []
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     report_path = out / "report.json"
     report_path.write_text(report_json(report), encoding="utf-8")
-    written.append(report_path)
+    written = [report_path]
     sizes = config.sizes
-    per_block = len(rows) // len(sizes) if sizes else 0
-    for i, n in enumerate(sizes):
-        name = "trials.csv" if len(sizes) == 1 else f"trials_n{n}.csv"
-        path = out / name
+    plot = _KINDS[config.kind].plot
+    per_block = len(rows) // len(sizes)
+    remaining = iter(rows)
+    for n, block in zip(sizes, report["blocks"]):
+        suffix = "" if len(sizes) == 1 else f"_n{n}"
+        path = out / f"trials{suffix}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(TrialResult._fields)
-            writer.writerows(rows[i * per_block : (i + 1) * per_block])
+            writer.writerows(islice(remaining, per_block))
         written.append(path)
-        if config.plot_data:
-            hist = reduce(getitem, _KINDS[config.kind].plot, report["blocks"][i])
+        if plot is not None:
+            hist = reduce(getitem, plot, block)
             total = sum(v for _, v in hist)
-            name = "histogram.tsv" if len(sizes) == 1 else f"histogram_n{n}.tsv"
-            tsv = out / name
+            tsv = out / f"histogram{suffix}.tsv"
             with tsv.open("w", encoding="utf-8") as fh:
                 for value, count in hist:
                     fh.write(f"{value}\t{count / total}\n")

@@ -137,9 +137,9 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     # Past any reachable proposal count, so the cap check needs no None test.
     if cap is None:
         cap = 2**64
-    # The first block: a natural run at n = 3 reads about 17 draws, and a
-    # capped run about 2 a proposal.
-    draws = rng.draws(8 * min(n, cap))
+    # The first block: a natural run at n = 3 reads about 17 draws, a
+    # capped run about 2 a proposal; `Rng.draws` clamps it to 2048.
+    draws = rng.draws(8 * n)
 
     t = 0
     p = 0

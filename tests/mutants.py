@@ -279,6 +279,36 @@ MUTANTS = [
         ("tests/test_harness.py::test_trial_seeds_are_the_full_path",),
     ),
     Mutant(
+        "each size's trials CSV takes one row of the next size",
+        HARNESS,
+        "islice(remaining, per_block)",
+        "islice(remaining, per_block + 1)",
+        ("tests/test_golden.py::test_trials_csv_digest[theorem_sweep]",),
+    ),
+    Mutant(
+        "a kind with no histogram still writes one",
+        HARNESS,
+        "        if plot is not None:\n",
+        "        if True:\n",
+        ("tests/test_harness.py::TestOutputs::test_sweep_files_follow_the_kind",),
+    ),
+    Mutant(
+        "the chain trial ignores its stop rule",
+        HARNESS,
+        "stop=stop, track=False",
+        'stop="natural", track=False',
+        ("tests/test_harness.py::TestOtherKinds::test_coupon_block",),
+    ),
+    Mutant(
+        "the equivalence block's two halves swapped",
+        HARNESS,
+        "    counts_a = Counter(islice(counts, config.trials))\n"
+        "    counts_b = Counter(islice(counts, config.trials, None))\n",
+        "    counts_b = Counter(islice(counts, config.trials))\n"
+        "    counts_a = Counter(islice(counts, config.trials, None))\n",
+        ("tests/test_golden.py::test_report_digest[equivalence_w1]",),
+    ),
+    Mutant(
         "an acceptance chunk moves each stream one draw short",
         HARNESS,
         "            rng.skip(len(limits))\n",
@@ -407,6 +437,28 @@ MUTANTS = [
         ),
         also=(("tests/oracles.py", "        output = p\n        nxt = p\n",
                "        output = p\n        nxt = previous\n"),),
+    ),
+    Mutant(
+        "the chain and its reference both give a girl's k-th offer the coin "
+        "of offer (k + 1) // 2",
+        RANDOM_MODEL,
+        "        if next(draws) >= accept[k]:\n",
+        "        if next(draws) >= accept[(k + 1) // 2]:\n",
+        ("tests/test_random_model.py::test_revealed_instance_is_uniform_at_n2",),
+        also=(("tests/oracles.py", "    if rng.random() * k >= 1.0:\n",
+               "    if rng.random() * ((k + 1) // 2) >= 1.0:\n"),),
+    ),
+    Mutant(
+        "the chain and its reference both keep the turn with the accepted "
+        "proposer, not the displaced husband",
+        RANDOM_MODEL,
+        "            p = previous\n",
+        "            pass\n",
+        (
+            "tests/test_random_model.py"
+            "::test_chain_is_the_search_on_the_revealed_instance",
+        ),
+        also=(("tests/oracles.py", "        nxt = previous\n", "        nxt = p\n"),),
     ),
     Mutant(
         "chain drops the displaced husband",

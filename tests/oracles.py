@@ -35,6 +35,14 @@ HUSBAND_LAW_N3 = {
     2: Fraction(739, 3888),
     3: Fraction(31, 3888),
 }
+# The same law at n = 4, from `exact_husband_law(4)` over 637,225 states;
+# tests/slow_checks.py recomputes it, outside the tier-1 suite.
+HUSBAND_LAW_N4 = {
+    1: Fraction(143782181, 191102976),
+    2: Fraction(10943875, 47775744),
+    3: Fraction(3457145, 191102976),
+    4: Fraction(44075, 95551488),
+}
 
 
 def bernoulli_sum_pmf(ps: list[float]) -> list[float]:

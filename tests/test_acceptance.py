@@ -68,6 +68,7 @@ from stablematch.rng import derive_seed, derive_seeds
 
 from oracles import (
     HUSBAND_LAW_N3,
+    HUSBAND_LAW_N4,
     acceptance_pmf_convolution,
     acceptance_pmf_cycle_recurrence,
     binomial_pmf,
@@ -162,6 +163,15 @@ def equivalence_run():
 
 
 @pytest.fixture(scope="session")
+def equivalence_run_n4():
+    config = ExperimentConfig(
+        kind="equivalence", n=4, trials=20_000, master_seed=MASTER_SEED, workers=1
+    )
+    report, _ = run_experiment(config)
+    return report
+
+
+@pytest.fixture(scope="session")
 def theorem_run():
     config = ExperimentConfig(
         kind="theorem",
@@ -220,25 +230,32 @@ def test_criterion_3_model_equivalence(equivalence_run):
     print(f"criterion 3: tv distance {tv:.4f}, {elapsed:.1f} s")
 
 
-# The chi-square quantile at alpha = 0.001 with 2 degrees of freedom: counts
-# 1, 2 and 3 are the only outcomes at n = 3. Fixed before any sample.
-CHI_SQUARE_2DF_0001 = 13.82
+# Each size's exact law and the chi-square quantile at alpha = 0.001 with
+# n - 1 degrees of freedom: counts 1..n are the only outcomes, and no bin is
+# merged (the least expected count, of 4 husbands at n = 4, is 9.2). Fixed
+# before any sample.
+EXACT_LAWS = {3: (HUSBAND_LAW_N3, 13.82), 4: (HUSBAND_LAW_N4, 16.27)}
 
 
 @pytest.mark.parametrize("method", ["a", "b"])
-def test_both_samplers_fit_the_exact_law_n3(equivalence_run, method):
-    """Each method's husband-count histogram from the criterion 3 campaign
-    against the exact law, by a chi-square goodness-of-fit test."""
-    report, _ = equivalence_run
-    block = report["blocks"][0]
-    histogram = dict(block[f"histogram_{method}"])
-    assert set(histogram) <= set(HUSBAND_LAW_N3), histogram
+@pytest.mark.parametrize("n", [3, 4])
+def test_both_samplers_fit_the_exact_law(request, n, method):
+    """Each method's husband-count histogram against the exact law, by a
+    chi-square goodness-of-fit test: at n = 3 from the criterion 3
+    campaign, at n = 4 from an equivalence campaign of the same size."""
+    if n == 3:
+        report, _ = request.getfixturevalue("equivalence_run")
+    else:
+        report = request.getfixturevalue("equivalence_run_n4")
+    law, threshold = EXACT_LAWS[n]
+    histogram = dict(report["blocks"][0][f"histogram_{method}"])
+    assert set(histogram) <= set(law), histogram
     trials = sum(histogram.values())
     assert trials == 20_000
-    counts = [histogram.get(k, 0) for k in HUSBAND_LAW_N3]
-    expected = [trials * float(p) for p in HUSBAND_LAW_N3.values()]
+    counts = [histogram.get(k, 0) for k in law]
+    expected = [trials * float(p) for p in law.values()]
     stat = chi_square(counts, expected)
-    assert stat <= CHI_SQUARE_2DF_0001, (method, counts, expected, stat)
+    assert stat <= threshold, (n, method, counts, expected, stat)
 
 
 def test_criterion_4_acceptance_distribution():

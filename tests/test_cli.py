@@ -301,16 +301,15 @@ class TestExperiment:
         cfg.write_text(
             json.dumps({"kind": "equivalence", "n": 3, "trials": 100, "master_seed": 6})
         )
-        for workers, extra in (("1", []), ("2", ["--plot-data"])):
+        for workers in ("1", "2"):
             code, _ = run_cli(
                 capsys, "experiment", "--config", str(cfg), "--workers", workers,
-                "--out", str(tmp_path / workers), *extra,
+                "--out", str(tmp_path / workers),
             )
             assert code == 0
         one, two = tmp_path / "1", tmp_path / "2"
         assert (two / "report.json").read_bytes() == (one / "report.json").read_bytes()
-        assert (two / "histogram.tsv").exists()
-        assert not (one / "histogram.tsv").exists()
+        assert (one / "histogram.tsv").exists() and (two / "histogram.tsv").exists()
 
     def test_gate_failure_exit_one(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -601,7 +600,6 @@ CONFIG = st.fixed_dictionaries(
         )
         | JSON,
         "workers": st.sampled_from([1, 0, -1, "2", True, None, 1.5]),
-        "plot_data": JSON,
         "x": JSON,
     },
 )
@@ -685,7 +683,6 @@ def command_lines(draw):
                 argv += ["--param", f"{key}={value}"]
         argv += draw(_opt("--workers", st.sampled_from(["1", "0", "-1", "x"])))
         argv += draw(_opt("--out", st.sampled_from(["@out", "@garbage.json/out"])))
-        argv += draw(st.sampled_from([[], ["--plot-data"]]))
     return argv, config
 
 

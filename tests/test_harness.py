@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -436,7 +437,6 @@ class TestOutputs:
             master_seed=1,
             method="b",
             out_dir=str(tmp_path / "exp"),
-            plot_data=True,
         )
         report, rows = run_experiment(config)
         paths = write_outputs(config, report, rows)
@@ -458,6 +458,27 @@ class TestOutputs:
         assert loaded["kind"] == "theorem"
         hist_rows = (tmp_path / "exp" / "histogram.tsv").read_text().splitlines()
         assert sum(float(line.split("\t")[1]) for line in hist_rows) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "kind,params,histograms",
+        [("coupon", {}, True), ("lemma_audit", {"delta": 0.3}, False)],
+    )
+    def test_sweep_files_follow_the_kind(self, tmp_path, kind, params, histograms):
+        # Every out_dir gets one trials CSV a size, and one histogram TSV a
+        # size unless the kind has no histogram.
+        config = ExperimentConfig(
+            kind=kind, n=[8, 16], trials=3, master_seed=5, params=params,
+            out_dir=str(tmp_path),
+        )
+        report, rows = run_experiment(config)
+        names = {p.name for p in write_outputs(config, report, rows)}
+        expected = {"report.json", "trials_n8.csv", "trials_n16.csv"}
+        if histograms:
+            expected |= {"histogram_n8.tsv", "histogram_n16.tsv"}
+        assert names == expected == {p.name for p in tmp_path.iterdir()}
+        for n in (8, 16):
+            with (tmp_path / f"trials_n{n}.csv").open() as fh:
+                assert len(list(csv.reader(fh))) == 1 + 3
 
     def test_report_excludes_execution_details(self):
         config = ExperimentConfig(
@@ -642,8 +663,8 @@ def test_trial_result_row_shape():
 
 def test_trial_rows_give_back_their_rows():
     # Each row comes back as the TrialResult it went in as, a missing first
-    # output and the largest u64 seed included, by index, slice, iteration
-    # and pickle (the way a worker sends a range).
+    # output and the largest u64 seed included, by iteration and pickle (the
+    # way a worker sends a range); a column is the field's own array.
     given = [(0, 2**64 - 1, 3, None, 1, 12), (1, 5, 1, 7, 0, 9), (2, 0, 2, 1, 2, 0)]
     rows, first = TrialRows(), TrialRows()
     for row in given:
@@ -652,11 +673,10 @@ def test_trial_rows_give_back_their_rows():
     rows.extend(first)
     expected = [TrialResult._make(row) for row in given + given[:1]]
     assert list(rows) == expected
-    assert [rows[i] for i in range(-4, 4)] == expected * 2
-    assert type(rows[1:3]) is TrialRows and list(rows[1:3]) == expected[1:3]
     assert list(pickle.loads(pickle.dumps(rows))) == expected
     assert rows.column("first_output_time") == [None, 7, 1, None]
-    assert rows.column("seed") == [2**64 - 1, 5, 0, 2**64 - 1]
+    assert rows.column("seed") == array("Q", [2**64 - 1, 5, 0, 2**64 - 1])
+    assert rows.column("seed") is rows.column("seed")
 
 
 NUMPY_PROBE = """
