@@ -34,7 +34,6 @@ import os
 import time
 from array import array
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import islice
@@ -209,46 +208,55 @@ def _params(config: ExperimentConfig) -> dict:
 
 
 class TrialResult(NamedTuple):
-    """One trial's row of trials.csv, whose header is these field names.
-    A campaign keeps its rows in a TrialRows, which gives them back as
-    TrialResult."""
+    """One trial's row of trials.csv, whose header is these field names:
+    the row's own trial, seed, husband_count and elapsed_us and, between
+    them, its trial's record's same-named fields, each defaulting to what a
+    trial with no record writes. A campaign keeps its rows in a TrialRows."""
 
     trial: int
     seed: int
     husband_count: int
-    first_output_time: int | None
-    pre_output_acceptances: int
-    elapsed_us: int
+    first_output_time: int | None = None
+    pre_output_acceptances: int = 0
+    elapsed_us: int = 0
 
 
-# first_output_time as stored for a row with no first output; a real time
-# is at least 1.
-_NO_OUTPUT = -1
+# The fields a row reads by name from its trial's record.
+_RECORD_FIELDS = TrialResult._fields[3:-1]
+# The record of a trial whose sampler keeps none: every field's default.
+_NO_RECORD = TrialResult(0, 0, 0)
+# How a 'q' column stores None, as no real value in one is negative; `add`
+# writes it, and `column` and iteration read it back as None.
+_NONE = -1
+_LOADED = {_NONE: None}
 
 
 class TrialRows:
     """Trial rows as one typed array per TrialResult field, in field order:
     'Q' for the u64 seed, 'q' for the rest. A campaign holds no Python
-    object per row, and a worker sends a range's rows as six arrays. A row
-    is written by `add`; rows are read back by iteration, as TrialResult,
-    or one field at a time by `column`."""
+    object per row, and a worker sends a range's rows as these arrays. A
+    row is written by `add`; rows are read back by iteration, as
+    TrialResult, or one field at a time by `column`."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_columns", "_own", "_recorded")
 
     def __init__(self) -> None:
-        self._columns = tuple(array(code) for code in "qQqqqq")
+        codes = ("Q" if name == "seed" else "q" for name in TrialResult._fields)
+        self._columns = tuple(map(array, codes))
+        # The row's own columns, and each record field's name and column.
+        self._own = self._columns[:3] + self._columns[-1:]
+        self._recorded = tuple(zip(_RECORD_FIELDS, self._columns[3:-1]))
 
-    def add(self, trial: int, seed: int, husband_count: int,
-            first_output_time: int | None, pre_output_acceptances: int,
-            elapsed_us: int) -> None:
-        """Append one row, its fields in TrialResult's order."""
-        t, s, h, f, p, e = self._columns
+    def add(self, trial: int, seed: int, husband_count: int, record, elapsed_us: int):
+        """Append one row: its own four fields, and the record's by name."""
+        t, s, h, e = self._own
         t.append(trial)
         s.append(seed)
         h.append(husband_count)
-        f.append(_NO_OUTPUT if first_output_time is None else first_output_time)
-        p.append(pre_output_acceptances)
         e.append(elapsed_us)
+        for name, column in self._recorded:
+            value = getattr(record, name)
+            column.append(_NONE if value is None else value)
 
     def extend(self, rows: TrialRows) -> None:
         """Append another TrialRows' rows."""
@@ -257,26 +265,19 @@ class TrialRows:
 
     def column(self, name: str) -> array | list:
         """One field of every row, in row order: the field's own array, not
-        a copy, but for first_output_time a list with None where a row has
-        no first output."""
+        a copy, but for a field whose default is None a list, with None
+        where a row has none."""
         values = self._columns[TrialResult._fields.index(name)]
-        if name == "first_output_time":
-            return [None if t == _NO_OUTPUT else t for t in values]
+        if TrialResult._field_defaults.get(name, 0) is None:
+            return list(map(_LOADED.get, values, values))
         return values
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __iter__(self):
-        return map(_result, zip(*self._columns))
-
-
-def _result(row: Iterable[int]) -> TrialResult:
-    """A TrialResult from a row of TrialRows' columns."""
-    row = TrialResult._make(row)
-    if row.first_output_time == _NO_OUTPUT:
-        return row._replace(first_output_time=None)
-    return row
+        for row in zip(*self._columns):
+            yield TrialResult._make(map(_LOADED.get, row, row))
 
 
 def summarize(values: list, envelope: tuple[float, float] | None = None) -> dict:
@@ -326,9 +327,9 @@ def tv_distance(counts_a: Counter, counts_b: Counter, t_a: int, t_b: int) -> flo
 
 
 # A trial takes (seed, *fixed) and returns (husband count, the sampler's
-# record, extra): the record's first_output_time and pre_output_acceptances
-# fill the row, and extra is the audit's report dict, or None. Trials call
-# the samplers through this module's globals, where a tracer can swap them.
+# record, extra): the record's fields fill the row (TrialRows.add), and extra
+# is the audit's report dict, or None. Trials call the samplers through this
+# module's globals, where a tracer can swap them.
 
 
 def _enumeration_trial(seed: int, n: int, girl: int):
@@ -375,8 +376,7 @@ def _run_range(task: tuple) -> tuple[TrialRows, list]:
         begin = clock()
         count, record, extra = trial(seed, *fixed)
         elapsed = (clock() - begin) // 1000
-        add(i, seed, count, record.first_output_time, record.pre_output_acceptances,
-            elapsed)
+        add(i, seed, count, record, elapsed)
         if extra is not None:
             extras.append(extra)
     return rows, extras
@@ -561,7 +561,7 @@ def _run_acceptance_block(config: ExperimentConfig, n: int) -> tuple[dict, Trial
             elapsed_ns[i] += time.perf_counter_ns() - start
     results = TrialRows()
     for i, (seed, count, ns) in enumerate(zip(seeds, counts, elapsed_ns)):
-        results.add(i, seed, count, None, 0, ns // 1000)
+        results.add(i, seed, count, _NO_RECORD, ns // 1000)
     expected_var = h_m - _bounds.harmonic_second(m)
     stderr = math.sqrt(expected_var / config.trials)
     mean = sum(counts) / len(counts)

@@ -250,32 +250,42 @@ MUTANTS = [
     Mutant(
         "a row with no first output stored as time 0",
         HARNESS,
-        "f.append(_NO_OUTPUT if first_output_time is None else first_output_time)",
-        "f.append(0 if first_output_time is None else first_output_time)",
+        "column.append(_NONE if value is None else value)",
+        "column.append(0 if value is None else value)",
         ("tests/test_golden.py::test_trials_csv_digest[lemma_audit]",),
     ),
     Mutant(
         "a row with no first output read back as -1",
         HARNESS,
-        "    if row.first_output_time == _NO_OUTPUT:\n",
-        "    if False:\n",
+        "_LOADED = {_NONE: None}\n",
+        "_LOADED = {}\n",
         ("tests/test_golden.py::test_trials_csv_digest[acceptance_dist]",),
     ),
     Mutant(
-        "husband_count and pre_output_acceptances columns swapped",
+        "husband_count and elapsed_us columns swapped",
         HARNESS,
-        "        t, s, h, f, p, e = self._columns\n",
-        "        t, s, p, f, h, e = self._columns\n",
+        "        t, s, h, e = self._own\n",
+        "        t, s, e, h = self._own\n",
         (
             "tests/test_harness.py::TestTheoremExperiment::test_counts_match_oracle_at_small_n",
             "tests/test_golden.py::test_report_digest[theorem_a]",
         ),
     ),
     Mutant(
+        "the row writer reads the two record fields in swapped order",
+        HARNESS,
+        "zip(_RECORD_FIELDS, ",
+        "zip(_RECORD_FIELDS[::-1], ",
+        (
+            "tests/test_harness.py::test_records_carry_every_record_field",
+            "tests/test_golden.py::test_report_digest[theorem_a]",
+        ),
+    ),
+    Mutant(
         "seed column signed",
         HARNESS,
-        'array(code) for code in "qQqqqq"',
-        'array(code) for code in "qqqqqq"',
+        '("Q" if name == "seed" else "q" for name',
+        '("q" for name',
         ("tests/test_harness.py::test_trial_seeds_are_the_full_path",),
     ),
     Mutant(
@@ -459,6 +469,29 @@ MUTANTS = [
             "::test_chain_is_the_search_on_the_revealed_instance",
         ),
         also=(("tests/oracles.py", "        nxt = previous\n", "        nxt = p\n"),),
+    ),
+    Mutant(
+        "the chain and its reference both count a redundant proposal as no "
+        "proposal",
+        RANDOM_MODEL,
+        "            # A redundant proposal is a proposal too, always rejected.\n",
+        "            t -= 1\n",
+        ("tests/test_random_model.py::test_first_output_time_is_the_collector_time",),
+        also=(("tests/oracles.py", "        state.redundant_proposals += 1\n",
+               "        state.redundant_proposals += 1\n        stats.t -= 1\n"),),
+    ),
+    Mutant(
+        "the chain and its reference both keep the turn with the accepted "
+        "proposer at the first output, not hand it to her husband",
+        RANDOM_MODEL,
+        "            p = best_offer[g]  # type: ignore[assignment]\n"
+        "            outputs.append((p, t))\n",
+        "            outputs.append((best_offer[g], t))\n",
+        (
+            "tests/test_random_model.py"
+            "::test_chain_is_the_search_on_the_revealed_instance",
+        ),
+        also=(("tests/oracles.py", "            nxt = output\n", "            nxt = p\n"),),
     ),
     Mutant(
         "chain drops the displaced husband",

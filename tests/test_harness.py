@@ -12,7 +12,6 @@ import sys
 import tracemalloc
 from array import array
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,7 +35,9 @@ from stablematch.harness import (
     write_outputs,
 )
 from stablematch.instance import generate_uniform
+from stablematch.matching import stable_husbands
 from stablematch.oracle import enumerate_stable
+from stablematch.random_model import run as run_process
 from stablematch.rng import Rng, coin_limit, derive_seed
 
 from collections import Counter
@@ -427,6 +428,23 @@ class TestGates:
         report, _ = run_experiment(config)
         assert report["gate_failures"] == []
 
+    def test_coupon_without_a_window(self):
+        # At n = 2, ln ln n < 0, so the collector window is None: the report
+        # writes window and within_window_fraction as null, and a
+        # min_window_fraction gate fails with its named message.
+        config = ExperimentConfig(
+            kind="coupon",
+            n=2,
+            trials=20,
+            master_seed=15,
+            gate={"min_window_fraction": 0.5},
+        )
+        report, _ = run_experiment(config)
+        block = json.loads(report_json(report))["blocks"][0]
+        assert block["window"] is None
+        assert block["within_window_fraction"] is None
+        assert report["gate_failures"] == ["n=2: within_window_fraction None < 0.5"]
+
 
 class TestOutputs:
     def test_written_files(self, tmp_path):
@@ -513,7 +531,7 @@ def test_trial_seeds_are_the_full_path(kind, master, n, stream, start, size):
     config = ExperimentConfig(kind=kind, n=n, trials=1, master_seed=master)
     kind_id = KINDS.index(kind) + 1
     prefix = _seed_prefix(config, n, stream)
-    record = SimpleNamespace(first_output_time=None, pre_output_acceptances=0)
+    record = harness._NO_RECORD
     task = (lambda seed: (0, record, None), (), prefix, start, start + size, 0)
     rows, extras = _run_range(task)
     assert extras == []
@@ -664,19 +682,51 @@ def test_trial_result_row_shape():
 def test_trial_rows_give_back_their_rows():
     # Each row comes back as the TrialResult it went in as, a missing first
     # output and the largest u64 seed included, by iteration and pickle (the
-    # way a worker sends a range); a column is the field's own array.
-    given = [(0, 2**64 - 1, 3, None, 1, 12), (1, 5, 1, 7, 0, 9), (2, 0, 2, 1, 2, 0)]
+    # way a worker sends a range); a column is the field's own array. A
+    # TrialResult has every record field, so it serves as its own record.
+    given = [
+        TrialResult(0, 2**64 - 1, 3, first_output_time=None, pre_output_acceptances=1,
+                    elapsed_us=12),
+        TrialResult(1, 5, 1, first_output_time=7, pre_output_acceptances=0, elapsed_us=9),
+        TrialResult(2, 0, 2, first_output_time=1, pre_output_acceptances=2, elapsed_us=0),
+    ]
     rows, first = TrialRows(), TrialRows()
     for row in given:
-        rows.add(*row)
-    first.add(*given[0])
+        rows.add(row.trial, row.seed, row.husband_count, row, row.elapsed_us)
+    first.add(0, 2**64 - 1, 3, given[0], 12)
     rows.extend(first)
-    expected = [TrialResult._make(row) for row in given + given[:1]]
+    expected = given + given[:1]
     assert list(rows) == expected
     assert list(pickle.loads(pickle.dumps(rows))) == expected
     assert rows.column("first_output_time") == [None, 7, 1, None]
     assert rows.column("seed") == array("Q", [2**64 - 1, 5, 0, 2**64 - 1])
     assert rows.column("seed") is rows.column("seed")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        run_process(6, 2, 9, track=False)[1],
+        run_process(64, 0, 9, stop="cap", max_proposals=5)[1],
+        stable_husbands(generate_uniform(6, 9), 2),
+        harness._NO_RECORD,
+    ],
+    ids=["run", "run_capped", "stable_husbands", "no_record"],
+)
+def test_records_carry_every_record_field(record):
+    # The row writer reads each TrialResult field between husband_count and
+    # elapsed_us from the record by name. Each must be an attribute of the
+    # chain's record, capped (no first output) or not, of the search's, and
+    # of the acceptance block's record of defaults, and the written row must
+    # give its value back: a field added to TrialResult alone fails here.
+    assert harness._RECORD_FIELDS == TrialResult._fields[3:-1]
+    rows = TrialRows()
+    rows.add(0, 1, 2, record, 3)
+    (row,) = rows
+    assert row[:3] == (0, 1, 2) and row.elapsed_us == 3
+    for name in harness._RECORD_FIELDS:
+        assert getattr(row, name) == getattr(record, name)
+        assert rows.column(name)[0] == getattr(record, name)
 
 
 NUMPY_PROBE = """

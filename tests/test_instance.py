@@ -209,6 +209,19 @@ class TestValidate:
     def test_no_rows(self):
         assert validate(PreferenceInstance((), ())) == ["n must be >= 1, got 0"]
 
+    def test_every_short_row_reported_and_later_rows_checked(self):
+        # A short row is reported and skipped, and the rows after it are
+        # still checked: two short rows and a duplicate in a later row give
+        # three messages, in row order.
+        inst = fixture_4x4()
+        girls = ((2, 1, 3), inst.girl_prefs[1], (0, 2), (1, 0, 1, 2))
+        problems = validate(dataclasses.replace(inst, girl_prefs=girls))
+        assert problems == [
+            "girl 0: row has length 3, expected 4",
+            "girl 2: row has length 2, expected 4",
+            "girl 3: duplicate 1 in preference row",
+        ]
+
 
 class TestSaveLoad:
     def test_round_trip_fixture(self, tmp_path):
