@@ -37,10 +37,6 @@ class BinomialPowerPgf:
         if self.n < 1 or self.trials < 0:
             raise ValueError("BinomialPowerPgf requires n >= 1 and trials >= 0")
 
-    @property
-    def mean(self) -> float:
-        return self.trials / self.n
-
 
 @dataclass(frozen=True)
 class RisingProductPgf:
@@ -51,10 +47,6 @@ class RisingProductPgf:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("RisingProductPgf requires m >= 1")
-
-    @property
-    def mean(self) -> float:
-        return harmonic(self.m)
 
 
 Pgf = BinomialPowerPgf | RisingProductPgf

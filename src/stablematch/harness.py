@@ -34,7 +34,7 @@ import os
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from itertools import islice
 from operator import getitem, gt
@@ -77,17 +77,11 @@ class ExperimentConfig:
         return [self.n] if isinstance(self.n, int) else list(self.n)
 
     def to_logical_dict(self) -> dict:
-        """The result-determining part of the configuration."""
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "girl": self.girl,
-            "method": self.method,
-            "params": dict(sorted(self.params.items())),
-            "gate": self.gate,
-        }
+        """The result-determining part of the configuration: every field but
+        the execution-only workers and out_dir."""
+        doc = asdict(self)
+        del doc["workers"], doc["out_dir"]
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":

@@ -336,69 +336,56 @@ def audit_window_stats(stats: RunStats, delta: float) -> AuditReport:
     log_n = max(math.log(n), 1.0)
     nd = float(n) ** delta
     clamp = lambda x: max(x, 1.0)
-
-    girl_lo = clamp(0.5 * nd)
-    girl_hi = clamp(2.0 * nd)
-    run_starts_hi = clamp(2.0 * nd)
     run_len_hi = clamp(nd * log_n**2)
-    boy_total_hi = clamp(2.0 * nd**2 * log_n**2)
-    pair_hi = clamp(log_n)
-    fresh_floor = clamp(0.5 * nd / log_n)
 
     counts, per_boy, starts = entity_totals(stats)
-    fresh = stats.nonredundant_per_girl
-    runs = stats.run_lengths
-    pairs = stats.pair_counts
-    # One row per check: its name and bounds, the per-entity values whose
-    # extreme it reports, that extreme for an empty list, and its
-    # violations in entity order. The pair map holds repeated pairs only;
-    # with none, every pair tried was proposed to once, and a capped run
-    # has tried at least one.
+    fresh, runs, pairs = stats.nonredundant_per_girl, stats.run_lengths, stats.pair_counts
+
+    def pair_rows():
+        for (b, j), c in sorted(pairs.items()):
+            yield b, j, c
+
+    # One row per check, data only: its name, its lower and upper bounds
+    # (None where it has none), the per-entity values whose extreme it
+    # reports, that extreme for an empty list, a violation's labels, and a
+    # lazy source of its entities in entity order (pairs by boy, then girl),
+    # each a tuple of the labels' values with the checked value last. The
+    # pair map holds repeated pairs only; with none, every pair tried was
+    # proposed to once, and a capped run has tried at least one.
     table = (
-        ("girl_proposal_window", girl_lo, girl_hi, counts, 0, lambda: [
-            {"girl": j, "count": c}
-            for j, c in enumerate(counts)
-            if not girl_lo <= c <= girl_hi
-        ]),
-        ("boy_run_starts", None, run_starts_hi, starts, 0, lambda: [
-            {"boy": b, "runs": r} for b, r in enumerate(starts) if r > run_starts_hi
-        ]),
-        ("run_fresh_length", None, run_len_hi, map(itemgetter(2), runs), 0, lambda: [
-            {"boy": b, "fresh_length": f} for b, _, f in runs if f > run_len_hi
-        ]),
-        ("run_total_length", None, run_len_hi, map(itemgetter(1), runs), 0, lambda: [
-            {"boy": b, "length": total} for b, total, _ in runs if total > run_len_hi
-        ]),
-        ("boy_total_proposals", None, boy_total_hi, per_boy, 0, lambda: [
-            {"boy": b, "proposals": c} for b, c in enumerate(per_boy) if c > boy_total_hi
-        ]),
-        ("pair_repeat_proposals", None, pair_hi, pairs.values(), 1, lambda: [
-            {"boy": b, "girl": j, "count": c}
-            for (b, j), c in sorted(pairs.items())
-            if c > pair_hi
-        ]),
-        ("girl_fresh_floor", fresh_floor, None, fresh, 0, lambda: [
-            {"girl": j, "fresh_count": c} for j, c in enumerate(fresh) if c < fresh_floor
-        ]),
+        ("girl_proposal_window", clamp(0.5 * nd), clamp(2.0 * nd), counts, 0,
+         ("girl", "count"), enumerate(counts)),
+        ("boy_run_starts", None, clamp(2.0 * nd), starts, 0,
+         ("boy", "runs"), enumerate(starts)),
+        ("run_fresh_length", None, run_len_hi, map(itemgetter(2), runs), 0,
+         ("boy", "fresh_length"), map(itemgetter(0, 2), runs)),
+        ("run_total_length", None, run_len_hi, map(itemgetter(1), runs), 0,
+         ("boy", "length"), map(itemgetter(0, 1), runs)),
+        ("boy_total_proposals", None, clamp(2.0 * nd**2 * log_n**2), per_boy, 0,
+         ("boy", "proposals"), enumerate(per_boy)),
+        ("pair_repeat_proposals", None, clamp(log_n), pairs.values(), 1,
+         ("boy", "girl", "count"), pair_rows()),
+        ("girl_fresh_floor", clamp(0.5 * nd / log_n), None, fresh, 0,
+         ("girl", "fresh_count"), enumerate(fresh)),
     )
 
-    # Each check takes its extreme with a C-level reduction and builds its
-    # violation list only when the extreme crosses a bound. Only the girl
-    # window has two bounds (its values are a list, read twice): it reports
-    # its maximum when that is too high, and its minimum otherwise.
+    # One rule for every check. Its extreme is a C-level reduction: the
+    # maximum under an upper bound, and the minimum under a lower bound
+    # unless the maximum is already too high (only the girl window has both;
+    # its values are a list, read twice). With a missing bound read as -inf
+    # or inf, the entities not within lo <= value <= hi are listed, and only
+    # when the extreme is one.
     checks = []
-    for name, lower, upper, values, empty, violations in table:
-        if upper is None:
+    for name, lower, upper, values, empty, labels, entities in table:
+        lo = -math.inf if lower is None else lower
+        hi = math.inf if upper is None else upper
+        worst = empty if upper is None else max(values, default=empty)
+        if lower is not None and worst <= hi:
             worst = min(values, default=empty)
-            crossed = worst < lower
-        else:
-            worst = max(values, default=empty)
-            crossed = worst > upper
-            if lower is not None and not crossed:
-                worst = min(values, default=empty)
-                crossed = worst < lower
-        bad = violations() if crossed else ()
-        checks.append(AuditCheck(name, not bad, lower, upper, float(worst), tuple(bad)))
+        bad = () if lo <= worst <= hi else tuple(
+            [dict(zip(labels, e)) for e in entities if not lo <= e[-1] <= hi]
+        )
+        checks.append(AuditCheck(name, not bad, lower, upper, float(worst), bad))
 
     return AuditReport(
         n=n,

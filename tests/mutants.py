@@ -19,16 +19,13 @@ when every mutant is killed, 1 when one survives or no longer applies,
 and 2 when the unmutated run fails or an argument names no mutant.
 Pytest does not collect this file.
 
-Three boundary mutants are left out because no test can kill them:
+Two boundary mutants are left out because no test can kill them:
 `find_blocking_pairs`' `boy_rank[b][g] < b_bar` read as `<=` differs only
 when g is b's wife, and then the girl side has already skipped the pair;
 `stable_husbands`' `rank < best_rank[h]` read as `<=` differs only when the
 rank equals her best offer's, which the sentinel n, above every rank, never
 does, and a real rank does only when a boy offers to the same girl twice,
-which his advancing list rules out; the
-audit's `c > pair_hi` read as `c >= pair_hi` differs only when a repeated
-pair's count, an integer of at least 2, equals the bound, which is 1 for
-n <= 2 and ln n, never an integer, above.
+which his advancing list rules out.
 """
 
 from __future__ import annotations
@@ -531,17 +528,24 @@ MUTANTS = [
         ("tests/test_random_model.py::TestRunStepAgreement",),
     ),
     Mutant(
-        "a girl on the window's lower bound flagged",
+        "an entity on its check's lower bound flagged",
         RANDOM_MODEL,
-        "            if not girl_lo <= c <= girl_hi\n",
-        "            if not girl_lo < c <= girl_hi\n",
+        "[dict(zip(labels, e)) for e in entities if not lo <= e[-1] <= hi]",
+        "[dict(zip(labels, e)) for e in entities if not lo < e[-1] <= hi]",
+        ("tests/test_random_model.py::TestAuditEqualsReference::test_capped_runs",),
+    ),
+    Mutant(
+        "an entity on its check's upper bound flagged",
+        RANDOM_MODEL,
+        "[dict(zip(labels, e)) for e in entities if not lo <= e[-1] <= hi]",
+        "[dict(zip(labels, e)) for e in entities if not lo <= e[-1] < hi]",
         ("tests/test_random_model.py::TestAuditEqualsReference::test_capped_runs",),
     ),
     Mutant(
         "pair violations listed in the order the pairs first repeated",
         RANDOM_MODEL,
-        "            for (b, j), c in sorted(pairs.items())\n",
-        "            for (b, j), c in pairs.items()\n",
+        "        for (b, j), c in sorted(pairs.items()):\n",
+        "        for (b, j), c in pairs.items():\n",
         ("tests/test_random_model.py::TestAuditEqualsReference::test_capped_runs",),
     ),
 ]

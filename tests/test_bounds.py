@@ -289,10 +289,6 @@ class TestMoments:
         step = f(m + 1) - f(m)
         assert abs(step - 1.0 / (m + 1) ** power) <= 2 * math.ulp(f(m + 1))
 
-    def test_mean_property(self):
-        assert RisingProductPgf(10).mean == pytest.approx(harmonic_direct(10))
-        assert BinomialPowerPgf(4, 100).mean == 25.0
-
 
 class TestEnvelope:
     def test_reference_values(self):

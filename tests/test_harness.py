@@ -341,13 +341,15 @@ class TestOtherKinds:
         assert peak < 2**20
 
     def test_campaign_rows_are_compact(self):
-        # A campaign holds its rows as typed columns, 48 bytes a row, never
-        # as one tuple of Python ints per row (about 190 bytes), and writes
-        # each row into them as its trial ends: packing a range's row tuples
-        # into the columns afterwards peaked at about 100 bytes a row here,
-        # against 77 for the direct write. The equivalence block counts its
-        # halves from the column in place: listing and slicing the column
-        # first peaked at 77 bytes a row, against 71 in place.
+        # A campaign holds its rows as typed columns, 8 bytes a column a row,
+        # never as one tuple of Python ints per row (about 190 bytes for six
+        # columns), and writes each row into them as its trial ends: packing
+        # a range's row tuples into the columns afterwards peaked at about
+        # 100 bytes a row here, against 77 for the direct write. The
+        # equivalence block counts its halves from the column in place:
+        # listing and slicing the column first peaked at 77 bytes a row,
+        # against 71 in place. The bound allows 26 bytes a row over the
+        # columns, 74 for the six columns of today.
         config = ExperimentConfig(kind="equivalence", n=3, trials=5000, master_seed=3)
         tracemalloc.start()
         try:
@@ -356,7 +358,7 @@ class TestOtherKinds:
         finally:
             tracemalloc.stop()
         assert len(rows) == 10_000
-        assert peak <= 74 * len(rows)
+        assert peak <= (8 * len(TrialResult._fields) + 26) * len(rows)
 
     def test_coupon_block(self):
         config = ExperimentConfig(kind="coupon", n=40, trials=60, master_seed=31)
