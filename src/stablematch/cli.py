@@ -108,16 +108,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     audited = args.audit is not None
     # The parser's stop group admits at most one of the four rules.
     cap = audit_window(args.n, args.audit) if audited else args.cap
-    if cap is not None:
-        stop = "cap"
+    if cap is None:
+        stop = rule = "first_output" if args.first_output else "natural"
     else:
-        stop = "first_output" if args.first_output else "natural"
-    outputs, stats = run_process(args.n, args.girl, args.seed, stop, cap, audited)
+        stop, rule = cap, "cap"
+    outputs, stats = run_process(args.n, args.girl, args.seed, stop, audited)
     doc = {
         "n": args.n,
         "girl": args.girl,
         "seed": args.seed,
-        "stop": stats.stopped,
+        "stop": rule,
         "outputs": [[b, t] for b, t in outputs],
         "husband_count": len(outputs),
         "first_output_time": stats.first_output_time,

@@ -74,7 +74,7 @@ class ExperimentConfig:
 
     @property
     def sizes(self) -> list[int]:
-        return [self.n] if isinstance(self.n, int) else list(self.n)
+        return self.n if isinstance(self.n, list) else [self.n]
 
     def to_logical_dict(self) -> dict:
         """The result-determining part of the configuration: every field but
@@ -121,7 +121,7 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}; one of {KINDS}")
     spec = _KINDS[config.kind]
-    ns = config.n if isinstance(config.n, list) else [config.n]
+    ns = config.sizes
     if not ns or any(not _is_int(n) or n < 1 for n in ns):
         raise ConfigError(f"n must be a positive integer or list of them, got {config.n}")
     if len(set(ns)) != len(ns):
@@ -345,7 +345,7 @@ METHODS: dict[str, Callable] = {"a": _enumeration_trial, "b": _process_trial}
 
 def _audit_trial(seed: int, n: int, girl: int, delta: float, cap: int):
     """A capped run; its extra is the run's audit report."""
-    outputs, stats = run_process(n, girl, seed, stop="cap", max_proposals=cap)
+    outputs, stats = run_process(n, girl, seed, stop=cap)
     return len(outputs), stats, audit_window_stats(stats, delta).to_dict()
 
 

@@ -11,9 +11,8 @@ husbands.
 
 The chain itself never halts (a boy who has tried every girl keeps making
 redundant proposals forever), so each `run` has one stop rule: "natural"
-fires where the deterministic search would terminate, "cap" after a fixed
-number of proposals, "first_output" as soon as the first husband is
-emitted.
+fires where the deterministic search would terminate, "first_output" as
+soon as the first husband is emitted, and a count c after c proposals.
 
 A run's working state (the boys' tried rows, the girls' best offers) lives
 only inside the call that runs it; what it yields is its RunStats record.
@@ -53,7 +52,6 @@ class RunStats:
     pair_counts: dict[tuple[int, int], int] | None = None
     outputs: list[tuple[int, int]] = field(default_factory=list)
     pre_output_acceptances: int = 0
-    stopped: str | None = None
 
     @property
     def redundant_proposals(self) -> int:
@@ -86,20 +84,21 @@ def new_state(n: int, girl: int, track: bool = True) -> RunStats:
     )
 
 
-def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
+def _advance(stats: RunStats, rng: Rng, stop: str | int) -> None:
     """Run the chain from a fresh state until the stop rule fires and fill
     in `stats`, the empty record of `new_state`: the chain's loop, behind
     `run`.
 
-    stop is a stop rule of `run`; cap is the proposal count where "cap"
-    fires, and None under the other rules. Boy 0 proposes first, with one
-    boy introduced. The chain's working state is local to the loop:
-    proposed[b] is boy b's tried row, a bytearray(n) with proposed[b][j]
-    == 1 once he has proposed to girl j; ntried[b] is his count of tried
-    girls, written back only when his run ends, so a run's fresh count is
-    count - ntried[p]; best_offer[j] is the boy holding girl j's best offer
-    (None before her first fresh proposal), no longer kept for the
-    designated girl after the first output.
+    stop is a stop rule of `run`, read as two limits: cap proposals, or a
+    proposer who has tried full girls (n under "natural"); a limit that the
+    rule does not set lies past every reachable count. Boy 0 proposes
+    first, with one boy introduced. The chain's working state is local to
+    the loop: proposed[b] is boy b's tried row, a bytearray(n) with
+    proposed[b][j] == 1 once he has proposed to girl j; ntried[b] is his
+    count of tried girls, written back only when his run ends, so a run's
+    fresh count is count - ntried[p]; best_offer[j] is the boy holding girl
+    j's best offer (None before her first fresh proposal), no longer kept
+    for the designated girl after the first output.
     Draws are read in one pass over `Rng.draws`: a girl index below
     `index_limit(n)` and an offer-k acceptance below `coin_limit(k)`, the
     rules of `randrange` and `random`, so each is the draw those calls
@@ -109,8 +108,8 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     per draw the rejection rule refused.
 
     The stop rule is tested only where it can newly hold: the cap after a
-    redundant proposal; natural or cap after a rejected offer; all three
-    after an accepted one, which ends the proposer's run.
+    redundant proposal; full or cap after a rejected offer; those and the
+    first output after an accepted one, which ends the proposer's run.
 
     After the first output the designated girl's acceptance emits the
     proposer, who keeps proposing; any other acceptance hands the turn, as
@@ -134,9 +133,8 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     outputs = stats.outputs
     accept = coin_limits(n)
     limit = index_limit(n)
-    # Past any reachable proposal count, so the cap check needs no None test.
-    if cap is None:
-        cap = 2**64
+    cap = 2**64 if isinstance(stop, str) else stop
+    full = n if stop == "natural" else n + 1
     # The first block: a natural run at n = 3 reads about 17 draws, a
     # capped run about 2 a proposal; `Rng.draws` clamps it to 2048.
     draws = rng.draws(8 * n)
@@ -150,7 +148,6 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
     accepts_by_g = 0
     rejected = 0
     g = stats.girl
-    natural = stop == "natural"
     first_output = stop == "first_output"
 
     for u in draws:
@@ -172,7 +169,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
         k = fresh_per_girl[h] + 1
         fresh_per_girl[h] = k
         if next(draws) >= accept[k]:
-            if natural and count == n or t >= cap:
+            if count == full or t >= cap:
                 break
             continue
         if run_lengths is not None:
@@ -184,7 +181,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
             if outputs:
                 # He keeps proposing, as after a rejected offer.
                 outputs.append((p, t))
-                if natural and count == n or t >= cap:
+                if count == full or t >= cap:
                     break
                 continue
         previous = best_offer[h]
@@ -199,7 +196,7 @@ def _advance(stats: RunStats, rng: Rng, stop: str, cap: int | None) -> None:
             outputs.append((p, t))
         tried = proposed[p]
         count = ntried[p]
-        if first_output and outputs or natural and count == n or t >= cap:
+        if first_output and outputs or count == full or t >= cap:
             break
 
     rng.skip(t + sum(fresh_per_girl) + rejected)
@@ -213,8 +210,7 @@ def run(
     n: int,
     girl: int,
     seed: int,
-    stop: str = "natural",
-    max_proposals: int | None = None,
+    stop: str | int = "natural",
     track: bool = True,
 ) -> tuple[list[tuple[int, int]], RunStats]:
     """Run the chain from a fresh state until the stop rule fires.
@@ -222,24 +218,18 @@ def run(
     stop is one of:
       "natural"      the current proposer has tried every girl, which is
                      where the deterministic search would terminate;
-      "cap"          exactly max_proposals proposals have been made;
-      "first_output" the first husband has just been emitted.
+      "first_output" the first husband has just been emitted;
+      an int c >= 1  exactly c proposals have been made.
 
-    max_proposals is required for "cap" and refused for the other rules,
-    which fire with probability 1. track records stats.run_lengths and
-    stats.pair_counts, which only `entity_totals` and the audit read;
-    without it both are None. Returns (outputs, stats); outputs are (boy,
-    time) pairs, the record's own list stats.outputs.
+    track records stats.run_lengths and stats.pair_counts, which only
+    `entity_totals` and the audit read; without it both are None. Returns
+    (outputs, stats); outputs are (boy, time) pairs, the record's own list
+    stats.outputs.
     """
-    if stop not in ("natural", "cap", "first_output"):
-        raise ValueError(f"unknown stop rule {stop!r}")
-    if stop == "cap" and (max_proposals is None or max_proposals < 1):
-        raise ValueError("stop='cap' requires max_proposals >= 1")
-    if stop != "cap" and max_proposals is not None:
-        raise ValueError(f"max_proposals applies to stop='cap' only, not {stop!r}")
+    if not (stop in ("natural", "first_output") or type(stop) is int and stop >= 1):
+        raise ValueError(f"stop must be a rule or a count >= 1, got {stop!r}")
     stats = new_state(n, girl, track=track)
-    _advance(stats, Rng(seed), stop, max_proposals)
-    stats.stopped = stop
+    _advance(stats, Rng(seed), stop)
     return stats.outputs, stats
 
 

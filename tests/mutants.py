@@ -64,7 +64,7 @@ BOUNDS = "src/stablematch/bounds.py"
 _POST_OUTPUT_TURN = (
     "                # He keeps proposing, as after a rejected offer.\n"
     "                outputs.append((p, t))\n"
-    "                if natural and count == n or t >= cap:\n"
+    "                if count == full or t >= cap:\n"
     "                    break\n"
     "                continue\n"
 )
@@ -392,9 +392,9 @@ MUTANTS = [
         "a rejected offer that reaches the cap does not stop the run",
         RANDOM_MODEL,
         "        if next(draws) >= accept[k]:\n"
-        "            if natural and count == n or t >= cap:\n",
+        "            if count == full or t >= cap:\n",
         "        if next(draws) >= accept[k]:\n"
-        "            if natural and count == n:\n",
+        "            if count == full:\n",
         ("tests/test_random_model.py::test_conservation_after_every_step",),
     ),
     Mutant(
@@ -403,6 +403,30 @@ MUTANTS = [
         "            if t >= cap:\n                break\n",
         "",
         ("tests/test_random_model.py::test_conservation_after_every_step",),
+    ),
+    Mutant(
+        "every stop rule also stops where the proposer has tried every girl",
+        RANDOM_MODEL,
+        '    full = n if stop == "natural" else n + 1\n',
+        "    full = n\n",
+        (
+            "tests/test_random_model.py::test_run_equals_reference_replay",
+            "tests/test_random_model.py::test_stops_aimed_at_block_ends",
+        ),
+    ),
+    Mutant(
+        "a cap of 0 proposals accepted",
+        RANDOM_MODEL,
+        "type(stop) is int and stop >= 1",
+        "type(stop) is int and stop >= 0",
+        ("tests/test_random_model.py::TestStopRules::test_cap_must_be_a_positive_count",),
+    ),
+    Mutant(
+        "a bool accepted as a cap",
+        RANDOM_MODEL,
+        "type(stop) is int and stop >= 1",
+        "isinstance(stop, int) and stop >= 1",
+        ("tests/test_random_model.py::TestStopRules::test_cap_must_be_a_positive_count",),
     ),
     Mutant(
         "a repeated pair counted in full in the girl's total",

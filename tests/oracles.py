@@ -455,7 +455,6 @@ def copy_stats(stats: RunStats) -> RunStats:
     out.pair_counts = None if stats.pair_counts is None else dict(stats.pair_counts)
     out.outputs = list(stats.outputs)
     out.pre_output_acceptances = stats.pre_output_acceptances
-    out.stopped = stats.stopped
     return out
 
 
@@ -512,9 +511,10 @@ def reference_run(
     `random_model.run` fires, and return the rule that fired.
 
     Before each proposal, "natural" fires when the proposer has tried every
-    girl, and "cap" once `cap` proposals have been made; with amnesia off,
-    an exhausted proposer also stops the run, as "natural". After each
-    accepted proposal that emits a husband, "first_output" fires.
+    girl, and "cap" once `cap` proposals have been made, where `run` takes
+    the int `cap` as its stop; with amnesia off, an exhausted proposer also
+    stops the run, as "natural". After each accepted proposal that emits a
+    husband, "first_output" fires.
     """
     n = state.stats.n
     while True:

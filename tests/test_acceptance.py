@@ -462,7 +462,7 @@ def test_criterion_8_window_audits():
     cap = math.floor(n ** (1 + delta))
     assert cap == 8192
     seed = derive_seed(MASTER_SEED, 108, 1)
-    _, stats = run_process(n, 0, seed, stop="cap", max_proposals=cap)
+    _, stats = run_process(n, 0, seed, stop=cap)
     report = audit_window_stats(stats, delta)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"audit run took {elapsed:.1f} s"

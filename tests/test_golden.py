@@ -49,13 +49,15 @@ from stablematch.instance import generate_uniform
 from stablematch.matching import stable_husbands
 from stablematch.random_model import run
 
-# (n, girl, seed, stop, max_proposals, pairs, runs, digest): pairs and runs
-# say whether the digest covers stats.pair_counts and stats.run_lengths as
+# (n, girl, seed, stop, cap, pairs, runs, digest): pairs and runs say
+# whether the digest covers stats.pair_counts and stats.run_lengths as
 # recorded, or as None. The three cases with one of the two were pinned when
 # each record had its own tracking switch; they run with tracking on.
-# max_proposals is passed to "cap" cases only: case (3, 0, 27) was pinned
-# with a proposal limit on "natural", which its run never reached, and keeps
-# that limit in its tuple, and so in its test id.
+# A "cap" case runs with its cap as the stop; the others run their named
+# rule. Case (3, 0, 27) was pinned with a proposal limit on "natural", which
+# its run never reached; that limit is now data kept only for its test id.
+# Each digest was pinned when the record also kept its stop rule as
+# `stopped`, so the rule is put back in the digested fields.
 RUN_CASES = [
     (1, 0, 4242, "natural", None, True, True,
      "94872f4688193face4c70f5c7c398b6a2eac6c43e2fe73e572dcec7133e9d6e0"),
@@ -290,14 +292,14 @@ def _run_case_id(case) -> str:
 )
 def test_run_digest(n, girl, seed, stop, cap, pairs, runs, digest):
     outputs, stats = run(
-        n, girl, seed, stop=stop, max_proposals=cap if stop == "cap" else None,
-        track=pairs or runs,
+        n, girl, seed, stop=cap if stop == "cap" else stop, track=pairs or runs
     )
     if not pairs:
         stats.pair_counts = None
     if not runs:
         stats.run_lengths = None
     fields = dataclasses.asdict(stats)
+    fields["stopped"] = stop
     if stats.pair_counts is not None:
         pairs = sorted(stats.pair_counts.items())
         fields["pair_counts"] = [[b, j, c] for (b, j), c in pairs]

@@ -709,7 +709,7 @@ def test_trial_rows_give_back_their_rows():
     "record",
     [
         run_process(6, 2, 9, track=False)[1],
-        run_process(64, 0, 9, stop="cap", max_proposals=5)[1],
+        run_process(64, 0, 9, stop=5)[1],
         stable_husbands(generate_uniform(6, 9), 2),
         harness._NO_RECORD,
     ],

@@ -58,7 +58,6 @@ class TestForcedPaths:
     def test_n1_natural(self):
         outputs, stats = run(1, 0, seed=4242)
         assert outputs == [(0, 1)]
-        assert stats.stopped == "natural"
         assert stats.t == 1
         assert stats.first_output_time == 1
         assert stats.acceptances_by_girl == 1
@@ -67,7 +66,7 @@ class TestForcedPaths:
     def test_first_fresh_proposal_always_accepted(self):
         # Accepted, the first offer introduces boy 1 as the next proposer.
         for seed in range(50):
-            _, stats = run(5, 0, seed, stop="cap", max_proposals=1)
+            _, stats = run(5, 0, seed, stop=1)
             assert stats.redundant_proposals == 0
             assert entity_totals(stats)[2] == [1, 1, 0, 0, 0]
 
@@ -177,7 +176,7 @@ class TestRunStepAgreement:
         [(8, 3000, 101), (50, 30, 202), (3, 400, 303), (1, 5, 404)],
     )
     def test_fast_loop_matches_instrumented_steps(self, n, cap, seed):
-        outputs, fast = run(n, 0, seed, stop="cap", max_proposals=cap)
+        outputs, fast = run(n, 0, seed, stop=cap)
         state, _ = run_via_steps(n, 0, seed, cap)
         assert fast.t == cap
         assert_run_matches_steps(outputs, fast, state)
@@ -207,8 +206,8 @@ def test_conservation_after_every_step(n, seed, steps):
         reference_step(state, rng)
         with pytest.MonkeyPatch.context() as monkeypatch:
             streams = _keep_streams(monkeypatch)
-            outputs, fast = run(n, girl, seed, stop="cap", max_proposals=t)
-        assert fast.t == t and fast.stopped == "cap"
+            outputs, fast = run(n, girl, seed, stop=t)
+        assert fast.t == t
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
         assert sum(entity_totals(fast)[1]) == t
@@ -231,7 +230,7 @@ def test_stream_ends_where_the_scalar_draws_would(monkeypatch, n, seed, stop, ca
     # One draw per proposal plus one per fresh proposal: the stream skips
     # exactly the draws the kernel read, not the rest of their blocks.
     streams = _keep_streams(monkeypatch)
-    _, stats = run(n, 0, seed, stop=stop, max_proposals=cap)
+    _, stats = run(n, 0, seed, stop=cap or stop)
     fresh = stats.t - stats.redundant_proposals
     assert len(streams) == 1
     assert streams[0]._state == (seed + (stats.t + fresh) * GOLDEN) % 2**64
@@ -262,11 +261,11 @@ class TestForcedRejection:
         probe = Rng(seed)
         assert [probe.next_u64() for _ in range(j + 1)][-1] == 2**64 - 1
         streams = _keep_streams(monkeypatch)
-        outputs, fast = run(n, 0, seed, stop=stop, max_proposals=cap)
+        outputs, fast = run(n, 0, seed, stop=cap or stop)
 
         state = reference_state(n, 0)
         rng = Rng(seed)
-        assert reference_run(state, rng, stop, cap) == fast.stopped
+        assert reference_run(state, rng, stop, cap) == stop
         assert_run_matches_steps(outputs, fast, state)
         assert streams[0]._state == rng._state
         # The rejected draw is one more than proposals plus fresh ones.
@@ -323,11 +322,11 @@ class TestBlockBoundary:
         n = 3
         seed, cap = _boundary_seed(stop, accepted)
         streams = _keep_streams(monkeypatch)
-        outputs, fast = run(n, 0, seed, stop=stop, max_proposals=cap)
+        outputs, fast = run(n, 0, seed, stop=cap or stop)
 
         state = reference_state(n, 0)
         rng = Rng(seed)
-        assert reference_run(state, rng, stop, cap) == fast.stopped == stop
+        assert reference_run(state, rng, stop, cap) == stop
         assert_run_matches_steps(outputs, fast, state)
         # One draw per proposal plus one per fresh proposal.
         draws = fast.t + (fast.t - fast.redundant_proposals)
@@ -424,11 +423,10 @@ def test_stops_aimed_at_block_ends(n, start, stop, block, gap, track):
     girl = seed % n
     state = reference_state(n, girl, track=track)
     rng = Rng(seed)
-    stopped = reference_run(state, rng, stop, cap)
+    assert reference_run(state, rng, stop, cap) == stop
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
-        outputs, fast = run(n, girl, seed, stop=stop, max_proposals=cap, track=track)
-    assert fast.stopped == stopped
+        outputs, fast = run(n, girl, seed, stop=cap or stop, track=track)
     assert_run_matches_steps(outputs, fast, state)
     assert_derived_counters(state)
     assert streams[0]._state == rng._state == (seed + draws * GOLDEN) % 2**64
@@ -459,11 +457,10 @@ def test_run_equals_reference_replay(n, seed, stop, cap_rule, fixed_cap, shift, 
         cap = fixed_cap
     state = reference_state(n, girl, track=track)
     rng = Rng(seed)
-    stopped = reference_run(state, rng, stop, cap)
+    assert reference_run(state, rng, stop, cap) == stop
     with pytest.MonkeyPatch.context() as monkeypatch:
         streams = _keep_streams(monkeypatch)
-        outputs, fast = run(n, girl, seed, stop=stop, max_proposals=cap, track=track)
-    assert fast.stopped == stopped
+        outputs, fast = run(n, girl, seed, stop=cap or stop, track=track)
     assert_run_matches_steps(outputs, fast, state)
     assert streams[0]._state == rng._state
     assert_derived_counters(state)
@@ -484,7 +481,7 @@ def test_entity_totals_equal_step_counts(n, seed, stop, cap):
     cap = cap if stop == "cap" else None
     state = reference_state(n, girl)
     reference_run(state, Rng(seed), stop, cap)
-    _, stats = run(n, girl, seed, stop=stop, max_proposals=cap)
+    _, stats = run(n, girl, seed, stop=cap or stop)
     per_girl, per_boy, runs = entity_totals(stats)
     assert (per_girl, per_boy, runs) == step_totals(state)
     assert sum(per_girl) == sum(per_boy) == stats.t
@@ -538,41 +535,36 @@ def test_revealed_instance_is_uniform_at_n2():
 
 
 def test_entity_totals_require_tracking():
-    _, stats = run(4, 0, 7, stop="cap", max_proposals=5, track=False)
+    _, stats = run(4, 0, 7, stop=5, track=False)
     with pytest.raises(ValueError, match="tracking"):
         entity_totals(stats)
 
 
 class TestStopRules:
     def test_cap_exact(self):
-        _, stats = run(6, 0, 9, stop="cap", max_proposals=57)
-        assert stats.t == 57 and stats.stopped == "cap"
+        _, stats = run(6, 0, 9, stop=57)
+        assert stats.t == 57
 
     def test_first_output_stops_when_every_girl_covered(self):
         outputs, stats = run(30, 0, 77, stop="first_output")
         assert len(outputs) == 1
-        assert stats.stopped == "first_output"
         assert stats.first_output_time == stats.t
         assert min(entity_totals(stats)[0]) >= 1
 
     def test_natural_runs_until_some_boy_exhausts(self):
         outputs, stats = run(5, 0, 123, stop="natural")
         state = reference_state(5, 0)
-        assert reference_run(state, Rng(123), "natural") == stats.stopped == "natural"
+        assert reference_run(state, Rng(123), "natural") == "natural"
         assert_run_matches_steps(outputs, stats, state)
         assert len(outputs) >= 1
         assert 5 in state.ntried
 
-    def test_max_proposals_only_with_cap(self):
-        # The other rules fire with probability 1, so a cap on them is
-        # refused rather than kept as a limit no run can reach.
-        for stop in ("natural", "first_output"):
-            with pytest.raises(ValueError, match="max_proposals"):
-                run(5, 0, 1, stop=stop, max_proposals=5)
-
-    def test_cap_requires_max_proposals(self):
-        with pytest.raises(ValueError):
-            run(3, 0, 1, stop="cap")
+    def test_cap_must_be_a_positive_count(self):
+        # A cap is an int proposal count of at least 1; a bool, a float
+        # equal to an int and a name that is no rule are refused alike.
+        for stop in (0, -1, True, 2.0, "cap"):
+            with pytest.raises(ValueError, match="count >= 1"):
+                run(3, 0, 1, stop=stop)
 
     def test_unknown_stop_rule(self):
         with pytest.raises(ValueError):
@@ -600,7 +592,7 @@ def test_first_output_lands_inside_collector_window():
     cap = math.floor(n * math.log(n) * math.log(math.log(n)))
     assert cap == 13_350
     for seed in (1, 2, 3):
-        outputs, stats = run(n, 0, seed, stop="cap", max_proposals=cap, track=False)
+        outputs, stats = run(n, 0, seed, stop=cap, track=False)
         assert stats.first_output_time is not None
         assert stats.first_output_time <= cap
 
@@ -635,7 +627,7 @@ def assert_identity_matches_replay(n, seed, stop, cap=None):
     acceptances, equal the designated girl's acceptances that a reference
     replay counts step by step; so do its derived first output time and
     redundant proposals. Returns the run's outputs and record."""
-    outputs, stats = run(n, 0, seed, stop=stop, max_proposals=cap)
+    outputs, stats = run(n, 0, seed, stop=cap or stop)
     state = reference_state(n, 0)
     reference_run(state, Rng(seed), stop, cap)
     assert stats.acceptances_by_girl == state.acceptances_by_girl
@@ -677,7 +669,7 @@ def test_memoryful_variant_same_output_distribution():
 
 class TestAudit:
     def test_degenerate_n1_passes_vacuously(self):
-        _, stats = run(1, 0, 8, stop="cap", max_proposals=1)
+        _, stats = run(1, 0, 8, stop=1)
         report = audit_window_stats(stats, 0.3)
         assert report.passed
         assert len(report.checks) == 7
@@ -685,7 +677,7 @@ class TestAudit:
     def test_small_run_report_structure(self):
         n, delta = 64, 0.3
         cap = int(n ** (1 + delta))
-        _, stats = run(n, 0, 99, stop="cap", max_proposals=cap)
+        _, stats = run(n, 0, 99, stop=cap)
         report = audit_window_stats(stats, delta)
         names = {c.name for c in report.checks}
         assert names == {
@@ -718,13 +710,13 @@ class TestAudit:
         assert failing[0].violations == ({"boy": 2, "girl": 1, "count": 3},)
 
     def test_cap_mismatch_reported(self):
-        _, stats = run(4, 0, 7, stop="cap", max_proposals=5)
+        _, stats = run(4, 0, 7, stop=5)
         with pytest.raises(ValueError, match="cap mismatch"):
             audit_window_stats(stats, 0.3)
 
     def test_requires_tracking(self):
         cap = int(4**1.3)
-        _, stats = run(4, 0, 7, stop="cap", max_proposals=cap, track=False)
+        _, stats = run(4, 0, 7, stop=cap, track=False)
         with pytest.raises(ValueError, match="tracking"):
             audit_window_stats(stats, 0.3)
 
@@ -905,7 +897,7 @@ class TestAuditEqualsReference:
     @example(n=6, delta=0.3, seed=10)
     def test_capped_runs(self, n, delta, seed):
         cap = math.floor(n ** (1 + delta))
-        _, stats = run(n, seed % n, seed, stop="cap", max_proposals=cap)
+        _, stats = run(n, seed % n, seed, stop=cap)
         # The replay counts every pair in full.
         state = reference_state(n, seed % n)
         reference_run(state, Rng(seed), "cap", cap)
